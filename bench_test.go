@@ -188,7 +188,8 @@ func BenchmarkNullRPC(b *testing.B) {
 // BenchmarkNullSyscallMetricsOverhead measures the wall-clock cost the
 // metrics registry adds to the hottest path (the null syscall): "off"
 // pays only the k.Metrics == nil branch at each instrumented site, "on"
-// pays the counter increments and one histogram observation per call.
+// pays the syscall-latency and lock-hold histogram observations per call
+// (counters that mirror Stats cost nothing until a snapshot reads them).
 // Virtual time is identical in both (TestMetricsDoNotPerturbVirtualTime).
 func BenchmarkNullSyscallMetricsOverhead(b *testing.B) {
 	for _, enabled := range []bool{false, true} {

@@ -148,6 +148,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if m != nil && w.NIC != nil {
+		m.Registry.OnCollect(func() { w.NIC.PublishMetrics(m.Registry) })
+	}
 
 	var p *workload.Probe
 	if *probe {
@@ -167,10 +170,6 @@ func main() {
 			var snap observe.Snapshot
 			snap.VirtualNow = k.Now()
 			if m != nil {
-				k.SyncTraceMetrics()
-				if w.NIC != nil {
-					w.NIC.PublishMetrics(m.Registry)
-				}
 				var buf bytes.Buffer
 				if err := m.Registry.Snapshot().WritePrometheus(&buf); err == nil {
 					snap.Metrics = buf.Bytes()
@@ -357,10 +356,6 @@ func main() {
 		fmt.Printf("    %-40s %10d\n", sys.Name(t.n), t.c)
 	}
 	if m != nil {
-		k.SyncTraceMetrics()
-		if w.NIC != nil {
-			w.NIC.PublishMetrics(m.Registry)
-		}
 		fmt.Print(m.Registry.Render("kernel metrics"))
 	}
 	if k.ProfileEnabled() {

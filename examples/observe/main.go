@@ -3,8 +3,9 @@
 // ipc_client_connect_send_over_receive / ipc_reply_wait_receive) while
 // the kernel records typed trace events into a ring and updates its
 // metrics registry. Afterwards the example prints the metrics snapshot —
-// per-syscall latency histograms, context switches, IPC bytes — and
-// writes the trace as Perfetto/Chrome trace_event JSON.
+// per-syscall latency histograms, context switches, IPC bytes, the
+// interpreter's cpu.* block counters — and writes the trace as
+// Perfetto/Chrome trace_event JSON.
 //
 //	go run ./examples/observe
 //	go run ./examples/observe -out observe.json

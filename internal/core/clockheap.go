@@ -1,9 +1,9 @@
 package core
 
-// The deterministic interleaver's CPU chooser. PR 3's linear min-clock
-// scan (chooseCPUScan, kept below as the reference implementation) is
-// O(n) per dispatch episode, which at 64 CPUs puts the scheduler loop
-// itself on the critical path. The heap keeps the CPUs ordered by
+// The deterministic interleaver's CPU chooser. A linear min-clock scan
+// (chooseCPUScan, kept in clockheap_test.go as the test oracle) is O(n)
+// per dispatch episode, which at 64 CPUs puts the scheduler loop itself
+// on the critical path. The heap keeps the CPUs ordered by
 // (local clock, CPU index); between two picks only the acting CPU's
 // clock moves (everything the episode charges — syscall work, lock
 // spins, idle advances — lands on that one clock), so maintenance is a

@@ -61,3 +61,28 @@ func TestClockHeapMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// chooseCPUScan returns the CPU to run next: smallest local virtual
+// time, ties preferring a CPU with queued runnable work, then one with a
+// pending timer, then the lowest index. Total order over kernel state ⇒
+// the interleaving is a pure function of the initial state.
+//
+// This is the O(n) reference implementation the interleaver used before
+// the clock heap; TestClockHeapMatchesScan pins the heap to its order.
+func (k *Kernel) chooseCPUScan() *CPU {
+	best := k.cpus[0]
+	bestClass := cpuClass(best)
+	for _, c := range k.cpus[1:] {
+		cn, bn := c.clk.Now(), best.clk.Now()
+		if cn < bn {
+			best, bestClass = c, cpuClass(c)
+			continue
+		}
+		if cn == bn {
+			if cl := cpuClass(c); cl < bestClass {
+				best, bestClass = c, cl
+			}
+		}
+	}
+	return best
+}

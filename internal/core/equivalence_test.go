@@ -178,8 +178,8 @@ func TestIPCFastPathEquivalence(t *testing.T) {
 						if !bytes.Equal(onMem, offMem) {
 							t.Fatalf("seed %d: observable memory differs with IPC fast path on vs off", seed)
 						}
-						onR := onK.Metrics.RestartsByCause()
-						offR := offK.Metrics.RestartsByCause()
+						onR := onK.Stats().RestartsByCause()
+						offR := offK.Stats().RestartsByCause()
 						if onR != offR {
 							t.Fatalf("seed %d: Table 3 restart causes differ: on=%v off=%v", seed, onR, offR)
 						}

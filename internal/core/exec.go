@@ -270,14 +270,8 @@ func (k *Kernel) ctxSwitch(c *CPU, t *obj.Thread, direct bool) {
 	c.current = t
 	t.HomeCPU = c.id
 	k.lockRelease(c, lockSched)
-	if k.Metrics != nil {
-		k.Metrics.CtxSwitches.Inc()
-	}
 	if direct {
 		c.stats.FastpathHits++
-		if k.Metrics != nil {
-			k.Metrics.FastpathHits.Inc()
-		}
 		k.emit(trace.Handoff, t.ID, 0)
 		k.spanCheckpoint(t, trace.FlowHandoff)
 		k.ensureSliceTimer(c)
@@ -447,9 +441,6 @@ func (k *Kernel) stepHost(t *obj.Thread) bool {
 func (k *Kernel) preemptUser(t *obj.Thread) bool {
 	c := k.cur
 	c.stats.PreemptsUser++
-	if k.Metrics != nil {
-		k.Metrics.PreemptsUser.Inc()
-	}
 	k.emit(trace.Preempt, 0, 0)
 	k.clearResched(c)
 	t.State = obj.ThReady
@@ -496,9 +487,6 @@ func (k *Kernel) ChargeKernel(cycles uint64) {
 			cycles -= n
 			if k.needsResched(c) && t.State == obj.ThRunning {
 				c.stats.PreemptsKernel++
-				if k.Metrics != nil {
-					k.Metrics.PreemptsKernel.Inc()
-				}
 				k.emit(trace.Preempt, 2, 0)
 				k.clearResched(c)
 				t.State = obj.ThReady
@@ -555,9 +543,6 @@ func (k *Kernel) doSyscall(t *obj.Thread, num int, fromUser bool) bool {
 	k.emit(trace.SyscallEnter, uint32(num), redispatch)
 	if t.InSyscall {
 		c.stats.Restarts++
-		if k.Metrics != nil {
-			k.Metrics.RestartsTotal.Inc()
-		}
 	}
 	t.InSyscall = true
 	// The profiler's syscall dimension: set before the entry lock so a
@@ -668,7 +653,6 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 	case mmu.FaultSoft:
 		c.stats.FaultCount[key]++
 		c.stats.FaultRollback[key] += t.EntryCycles
-		k.countFaultRestart(class, side, t.EntryCycles)
 		t.EntryCycles = 0
 		start := c.clk.Now()
 		remedy := uint64(CycSoftFaultRemedy)
@@ -690,7 +674,6 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 		}
 		c = k.cur // an FP park inside ChargeKernel can migrate us
 		c.stats.FaultRemedy[key] += c.clk.Now() - start
-		k.countFaultRemedy(class, side, c.clk.Now()-start)
 		k.releaseHeld()
 		return true
 
@@ -700,8 +683,8 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 		// (breaking the share), or by restoring write permission when
 		// this region holds the last reference — but it is *not* one of
 		// Table 3's four causes: the copying kernel never raises it, so
-		// countFaultRestart/Remedy (the four-cause instruments) stay
-		// untouched and the zero-copy equivalence test can pin them
+		// it is counted under its own FaultCOW key, the four-cause counts
+		// stay untouched, and the zero-copy equivalence test can pin them
 		// bit-identical with the path on and off.
 		c.stats.FaultCount[key]++
 		c.stats.FaultRollback[key] += t.EntryCycles
@@ -726,9 +709,6 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 		profRestore(t, oldTag)
 		c = k.cur // an FP park inside ChargeKernel can migrate us
 		c.stats.ZeroCopyCOWBreaks++
-		if k.Metrics != nil {
-			k.Metrics.ZeroCopyCOWBreaks.Inc()
-		}
 		var copiedBit uint32
 		if copied {
 			copiedBit = 1
@@ -741,7 +721,6 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 	case mmu.FaultHard:
 		c.stats.FaultCount[key]++
 		c.stats.FaultRollback[key] += t.EntryCycles
-		k.countFaultRestart(class, side, t.EntryCycles)
 		t.EntryCycles = 0
 		port, _ := m.Region.Pager.(*obj.Port)
 		if port == nil || port.FaultRegion == nil || port.Dead {
@@ -783,9 +762,6 @@ func (k *Kernel) doFault(t *obj.Thread, spc *obj.Space, f cpu.Fault) bool {
 
 	default: // fatal
 		c.stats.FaultCount[key]++
-		if k.Metrics != nil {
-			k.Metrics.FaultsFatal.Inc()
-		}
 		k.releaseHeld()
 		k.exitThread(t, uint32(0xFFFF_0E02))
 		return false
@@ -890,7 +866,6 @@ func (k *Kernel) wakePrep(t *obj.Thread) bool {
 			lat = now - t.FaultStart
 		}
 		c.stats.FaultRemedy[key] += lat
-		k.countFaultRemedy(key.Class, key.Side, lat)
 		t.FaultStart = 0
 	}
 	if t.State == obj.ThBlocked {
@@ -961,9 +936,6 @@ func (k *Kernel) HandoffWake(t *obj.Thread) { k.handoffWake(t) }
 // configurations so the hit rate is comparable across runs.
 func (k *Kernel) CountIPCMiss() {
 	k.cur.stats.FastpathMisses++
-	if k.Metrics != nil {
-		k.Metrics.FastpathMisses.Inc()
-	}
 }
 
 // countFastpathFallback records a fast-path attempt that degraded to the
@@ -971,9 +943,6 @@ func (k *Kernel) CountIPCMiss() {
 // found occupied, or a register-carried transfer that faulted.
 func (k *Kernel) countFastpathFallback() {
 	k.cur.stats.FastpathFallbacks++
-	if k.Metrics != nil {
-		k.Metrics.FastpathFallbacks.Inc()
-	}
 }
 
 // countZeroCopyFallback records a transfer whose page-aligned run had to
@@ -981,9 +950,6 @@ func (k *Kernel) countFastpathFallback() {
 // or a share the MMU refused).
 func (k *Kernel) countZeroCopyFallback() {
 	k.cur.stats.ZeroCopyFallbacks++
-	if k.Metrics != nil {
-		k.Metrics.ZeroCopyFallbacks.Inc()
-	}
 }
 
 // wakeOne wakes the head of q, returning it (nil if the queue was empty).
@@ -1062,9 +1028,6 @@ func (k *Kernel) PreemptPoint() sys.KErr {
 		return sys.KOK
 	}
 	k.cur.stats.PreemptsPoint++
-	if k.Metrics != nil {
-		k.Metrics.PreemptsPoint.Inc()
-	}
 	k.emit(trace.Preempt, 1, 0)
 	return k.yieldCPU(true)
 }

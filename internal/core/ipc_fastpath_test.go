@@ -39,7 +39,6 @@ type handoffFaultResult struct {
 func runHandoffFault(t *testing.T, cfg core.Config, wordOff int) handoffFaultResult {
 	t.Helper()
 	e := newEnv(t, cfg)
-	e.k.EnableMetrics()
 	bindIPC(t, e.k, e.s, e.s)
 
 	// The pager pair servicing the region's hard faults.
@@ -130,7 +129,7 @@ func runHandoffFault(t *testing.T, cfg core.Config, wordOff int) handoffFaultRes
 	st := e.k.Stats()
 	res.faults = st.FaultCount
 	res.rollback = st.FaultRollback
-	res.restarts = e.k.Metrics.RestartsByCause()
+	res.restarts = st.RestartsByCause()
 	res.fallbacks = st.FastpathFallbacks
 	return res
 }

@@ -205,7 +205,6 @@ func (k *Kernel) CopyWords(src, dst *obj.Thread) sys.KErr {
 					dst.Regs.R[2] -= PageWords
 					c.stats.ZeroCopyShares++
 					if k.Metrics != nil {
-						k.Metrics.ZeroCopyShares.Inc()
 						k.Metrics.IPCBytes.Add(mem.PageSize)
 					}
 					if k.Tracer != nil {

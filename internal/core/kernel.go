@@ -158,9 +158,11 @@ type Kernel struct {
 	// internal/trace). Attach before running; costs one branch when nil.
 	Tracer *trace.Ring
 
-	// Metrics, when non-nil, receives hot-path instrument updates (see
-	// EnableMetrics). Like the tracer it costs one branch when nil and
-	// never perturbs virtual time.
+	// Metrics, when non-nil, is the metrics registry bundle (see
+	// EnableMetrics). Events Stats or the lock counters already count
+	// are read from them at snapshot time; the few instruments with no
+	// such twin are updated on the hot path, one branch each when nil.
+	// Never perturbs virtual time.
 	Metrics *KernelMetrics
 
 	// prof, when non-nil, is the cycle-accurate virtual-time profiler:

@@ -43,8 +43,8 @@ package core
 // interleaving, not virtual-time modeling, decides contention there); the
 // hold/acquire counters still run. Under the sharded gate (fine model)
 // the per-queue slot counters are owner-CPU state updated outside the
-// shared kernel mutex, so the non-atomic Metrics registry is skipped for
-// lock events in that mode.
+// shared kernel mutex, so the non-atomic metrics registry neither
+// observes lock holds nor reads the lock counters (lock.*) in that mode.
 
 import (
 	"repro/internal/obj"
@@ -327,10 +327,6 @@ func (k *Kernel) lockAcquireSlot(c *CPU, slot int) {
 	}
 	vl := &k.vlocks[slot]
 	vl.acquires++
-	kind := k.lockKinds[slot]
-	if k.Metrics != nil && !k.shardedPar() {
-		k.Metrics.LockAcquires[kind].Inc()
-	}
 	if k.par == nil {
 		now := c.clk.Now()
 		if free := vl.clearUntil(now); free > now {
@@ -338,10 +334,6 @@ func (k *Kernel) lockAcquireSlot(c *CPU, slot int) {
 			vl.contended++
 			vl.waitCycles += wait
 			c.stats.KernelCycles += wait
-			if k.Metrics != nil {
-				k.Metrics.LockContended[kind].Inc()
-				k.Metrics.LockWaitCycles[kind].Add(wait)
-			}
 			c.clk.Advance(wait)
 			k.profCharge(c, c.current, profile.PathLockSpin, wait)
 		}

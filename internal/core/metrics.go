@@ -1,45 +1,55 @@
 package core
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/mmu"
 	"repro/internal/sys"
 )
 
-// This file wires the metrics registry (internal/metrics) into the
-// kernel's hot paths. Every instrument is registered up front in
-// NewKernelMetrics, so the paths in exec.go / ipc_support.go only ever
-// dereference pre-built pointers — with no registry attached
-// (k.Metrics == nil) each site costs a single branch, and the simulated
-// timeline is bit-identical either way because metrics never charge
-// cycles (pinned by TestMetricsDoNotPerturbVirtualTime).
+// This file wires the metrics registry (internal/metrics) to the kernel.
+// Each event is counted in one place. An event the kernel already counts
+// — in a per-CPU Stats shard, a vlock, an address space's ExecStats or
+// the trace ring — is not counted again on the hot path: its registry
+// instrument is derived, filled from that count by a collector the
+// registry runs at every Snapshot, Render and Prometheus export. Only
+// instruments with no such twin (the latency and hold histograms, wakes,
+// IPC bytes and transfers, commits, pager notices, threads, checkpoints)
+// are updated in place, through pointers registered up front in
+// newKernelMetrics; with no registry attached (k.Metrics == nil) each of
+// those sites costs a single branch. The simulated timeline is
+// bit-identical either way because metrics never charge cycles (pinned by
+// TestMetricsDoNotPerturbVirtualTime).
 
 // NumFaultCauses is the number of Table 3 exception-cause classes:
 // {soft, hard} × {client-side, server-side}.
 const NumFaultCauses = 4
 
-// FaultCauseNames are the class names in causeIndex order.
+// FaultCauseNames are the class names, client (same-space) before
+// server (cross-space) within each of soft and hard.
 var FaultCauseNames = [NumFaultCauses]string{
 	"soft.client", "soft.server", "hard.client", "hard.server",
 }
 
-// causeIndex maps a restartable fault to its Table 3 cause class.
-// Fatal faults have no restart semantics and are counted separately.
-func causeIndex(class mmu.FaultClass, side FaultSide) int {
-	i := 0
-	if class == mmu.FaultHard {
-		i = 2
-	}
-	if side == FaultCross {
-		i++
-	}
-	return i
+// faultCauseKeys are the Stats fault keys of the cause classes, in
+// FaultCauseNames order. Fatal faults have no restart semantics and are
+// counted separately.
+var faultCauseKeys = [NumFaultCauses]FaultKey{
+	{Class: mmu.FaultSoft, Side: FaultSame},
+	{Class: mmu.FaultSoft, Side: FaultCross},
+	{Class: mmu.FaultHard, Side: FaultSame},
+	{Class: mmu.FaultHard, Side: FaultCross},
 }
 
-// KernelMetrics is the kernel's instrument bundle: every counter, gauge,
-// and histogram the hot paths update, pre-registered so updates are
-// pointer dereferences. Attach with Kernel.EnableMetrics (or build one
-// on a shared registry with NewKernelMetrics and assign k.Metrics).
+// KernelMetrics is the kernel's instrument bundle, attached with
+// Kernel.EnableMetrics. It holds two kinds of instrument. The exported
+// fields are updated on the hot paths because nothing else counts their
+// events: pre-registered, so an update is a pointer dereference. The
+// rest — context switches, preemptions, restarts, fault costs, IPC
+// fast-path and zero-copy counts, lock contention, interpreter-tier and
+// trace-ring counters — are counted once, by Stats, the vlock counters,
+// cpu.ExecStats and the trace ring, and copied into the registry by a
+// collector at every snapshot (collect).
 type KernelMetrics struct {
 	Registry *metrics.Registry
 
@@ -49,69 +59,26 @@ type KernelMetrics struct {
 	// the thread's kernel stack — the user-visible call latency).
 	SyscallLatency [sys.NumSyscalls]*metrics.Histogram
 
-	// Restarts counts restartable kernel-internal exceptions by Table 3
-	// cause class; after each, the operation re-runs from its
-	// rolled-forward registers. RollbackCycles accumulates the work
-	// discarded (Table 3 "Cost to Rollback" numerator), RemedyCycles the
-	// time to service the fault ("Cost to Remedy").
-	Restarts       [NumFaultCauses]*metrics.Counter
-	RollbackCycles [NumFaultCauses]*metrics.Counter
-	RemedyCycles   [NumFaultCauses]*metrics.Counter
-	RestartsTotal  *metrics.Counter // syscall re-entries after any fault
-	FaultsFatal    *metrics.Counter
-
-	CtxSwitches *metrics.Counter
-	Wakes       *metrics.Counter
-	TimerIRQs   *metrics.Counter
+	Wakes *metrics.Counter
 
 	// PreemptLatency observes, at each context switch, the cycles from
 	// the moment a reschedule was requested (higher-priority wake or
 	// quantum expiry) to the switch that serviced it — the in-kernel
 	// view of Table 6's probe latency.
 	PreemptLatency *metrics.Histogram
-	PreemptsUser   *metrics.Counter
-	PreemptsPoint  *metrics.Counter
-	PreemptsKernel *metrics.Counter
 
 	IPCBytes     *metrics.Counter // payload bytes moved by CopyWords
 	IPCTransfers *metrics.Counter // CopyWords invocations
 	Commits      *metrics.Counter // roll-forward progress commits
-
-	// IPC fast-path counters (the direct thread handoff): hits are
-	// handoffs dispatched, misses are rendezvous blocks where the peer was
-	// not already waiting, fallbacks are staged handoffs demoted to a
-	// normal wake (donor kept running, slot occupied) plus
-	// register-carried transfers that faulted back to the slow path.
-	FastpathHits      *metrics.Counter
-	FastpathMisses    *metrics.Counter
-	FastpathFallbacks *metrics.Counter
-
-	// Zero-copy bulk-transfer counters: shares are pages moved by
-	// aliasing the sender's frame into the receiver's region, cowbreaks
-	// are stores that broke a share by copying the page, fallbacks are
-	// page-aligned eligible pages that had to take the copying path
-	// anyway (unresolvable translations, MMIO windows, self-transfers).
-	ZeroCopyShares    *metrics.Counter
-	ZeroCopyCOWBreaks *metrics.Counter
-	ZeroCopyFallbacks *metrics.Counter
 
 	PagerNotices *metrics.Counter // hard-fault notifications queued to pagers
 
 	ThreadsLive    *metrics.Gauge
 	ThreadsCreated *metrics.Counter
 
-	// Lock-model instruments, one per lock kind (LockKindNames order).
-	// Under LockBig everything maps to the "big" slot; under
-	// LockPerSubsystem the sched/obj/mmu slots are live. Contention is
-	// virtual-time contention: an acquire that found the lock's
-	// busy-until point ahead of the acquiring CPU's clock.
-	LockAcquires   [NumLockKinds]*metrics.Counter
-	LockContended  [NumLockKinds]*metrics.Counter
-	LockWaitCycles [NumLockKinds]*metrics.Counter
+	// LockHoldCycles observes each outermost hold of a lock, one
+	// histogram per lock kind (LockKindNames order).
 	LockHoldCycles [NumLockKinds]*metrics.Histogram
-
-	IPIs   *metrics.Counter // cross-CPU reschedule kicks sent
-	Steals *metrics.Counter // threads taken from a peer's run queue
 
 	// Checkpoint/migration instruments, updated by internal/checkpoint
 	// (a user-level manager, so these never sit on an execution hot
@@ -124,139 +91,143 @@ type KernelMetrics struct {
 	CkptFramesClean    *metrics.Counter
 	CkptDowntimeCycles *metrics.Counter
 
-	// TraceDropped mirrors the trace ring's overwrite count
-	// (trace.Ring.Dropped) so exported metric snapshots declare how much
-	// of the trace a wrapped ring lost. The ring keeps its own counter
-	// on the hot path; SyncTraceMetrics copies it in at snapshot time.
-	TraceDropped *metrics.Gauge
-
-	// Interpreter-tier mirrors (cpu.ExecStats aggregated over spaces):
-	// decode-cache and fused-block activity. The address spaces keep the
-	// live counters on the hot path; SyncTraceMetrics copies them in at
-	// snapshot time, so the interpreter never touches the registry.
-	DecodePages        *metrics.Gauge // cpu.decode.pages
-	DecodeStaleResets  *metrics.Gauge // cpu.decode.stale_resets
-	BlocksBuilt        *metrics.Gauge // cpu.blocks.built
-	BlockHits          *metrics.Gauge // cpu.blocks.hits
-	BlockBails         *metrics.Gauge // cpu.blocks.bails
-	BlockInvalidations *metrics.Gauge // cpu.blocks.invalidations
+	derived []derived
+	src     metricSources // collect's reusable read buffer
 }
 
-// NewKernelMetrics registers the kernel's instruments on reg (a fresh
-// registry if nil) and returns the bundle. All allocation happens here.
-func NewKernelMetrics(reg *metrics.Registry) *KernelMetrics {
-	if reg == nil {
-		reg = metrics.New()
-	}
+// metricSources is one collect step's read of the kernel's own counters.
+type metricSources struct {
+	stats        Stats
+	locks        [NumLockKinds]LockStat
+	exec         cpu.ExecStats
+	traceDropped uint64
+}
+
+// derived is a registry instrument (a counter or a gauge) whose value is
+// read from the sources at collect time.
+type derived struct {
+	counter *metrics.Counter
+	gauge   *metrics.Gauge
+	get     func(*metricSources) uint64
+}
+
+// newKernelMetrics registers k's instruments on a fresh registry, with a
+// collector that fills the derived ones from k. All allocation happens
+// here.
+func newKernelMetrics(k *Kernel) *KernelMetrics {
+	reg := metrics.New()
 	m := &KernelMetrics{Registry: reg}
+	counter := func(name string, get func(*metricSources) uint64) {
+		m.derived = append(m.derived, derived{counter: reg.Counter(name), get: get})
+	}
+	gauge := func(name string, get func(*metricSources) uint64) {
+		m.derived = append(m.derived, derived{gauge: reg.Gauge(name), get: get})
+	}
 	for n := 0; n < sys.NumSyscalls; n++ {
 		m.SyscallLatency[n] = reg.Histogram("syscall.latency." + sys.Name(n))
 	}
 	for i, name := range FaultCauseNames {
-		m.Restarts[i] = reg.Counter("fault.restarts." + name)
-		m.RollbackCycles[i] = reg.Counter("fault.rollback_cycles." + name)
-		m.RemedyCycles[i] = reg.Counter("fault.remedy_cycles." + name)
+		key := faultCauseKeys[i]
+		counter("fault.restarts."+name, func(s *metricSources) uint64 { return s.stats.FaultCount[key] })
+		counter("fault.rollback_cycles."+name, func(s *metricSources) uint64 { return s.stats.FaultRollback[key] })
+		counter("fault.remedy_cycles."+name, func(s *metricSources) uint64 { return s.stats.FaultRemedy[key] })
 	}
-	m.RestartsTotal = reg.Counter("syscall.restarts")
-	m.FaultsFatal = reg.Counter("fault.fatal")
-	m.CtxSwitches = reg.Counter("sched.context_switches")
+	counter("syscall.restarts", func(s *metricSources) uint64 { return s.stats.Restarts })
+	counter("fault.fatal", func(s *metricSources) uint64 {
+		return s.stats.FaultCount[FaultKey{Class: mmu.FaultFatal, Side: FaultSame}] +
+			s.stats.FaultCount[FaultKey{Class: mmu.FaultFatal, Side: FaultCross}]
+	})
+	counter("sched.context_switches", func(s *metricSources) uint64 { return s.stats.ContextSwitches })
 	m.Wakes = reg.Counter("sched.wakes")
-	m.TimerIRQs = reg.Counter("sched.timer_irqs")
+	counter("sched.timer_irqs", func(s *metricSources) uint64 { return s.stats.TimerIRQs })
 	m.PreemptLatency = reg.Histogram("sched.preempt_latency")
-	m.PreemptsUser = reg.Counter("sched.preempts.user_boundary")
-	m.PreemptsPoint = reg.Counter("sched.preempts.explicit_point")
-	m.PreemptsKernel = reg.Counter("sched.preempts.in_kernel")
+	counter("sched.preempts.user_boundary", func(s *metricSources) uint64 { return s.stats.PreemptsUser })
+	counter("sched.preempts.explicit_point", func(s *metricSources) uint64 { return s.stats.PreemptsPoint })
+	counter("sched.preempts.in_kernel", func(s *metricSources) uint64 { return s.stats.PreemptsKernel })
 	m.IPCBytes = reg.Counter("ipc.bytes")
 	m.IPCTransfers = reg.Counter("ipc.transfers")
 	m.Commits = reg.Counter("ipc.rollforward_commits")
-	m.FastpathHits = reg.Counter("ipc.fastpath.hits")
-	m.FastpathMisses = reg.Counter("ipc.fastpath.misses")
-	m.FastpathFallbacks = reg.Counter("ipc.fastpath.fallbacks")
-	m.ZeroCopyShares = reg.Counter("ipc.zerocopy.shares")
-	m.ZeroCopyCOWBreaks = reg.Counter("ipc.zerocopy.cowbreaks")
-	m.ZeroCopyFallbacks = reg.Counter("ipc.zerocopy.fallbacks")
+	counter("ipc.fastpath.hits", func(s *metricSources) uint64 { return s.stats.FastpathHits })
+	counter("ipc.fastpath.misses", func(s *metricSources) uint64 { return s.stats.FastpathMisses })
+	counter("ipc.fastpath.fallbacks", func(s *metricSources) uint64 { return s.stats.FastpathFallbacks })
+	counter("ipc.zerocopy.shares", func(s *metricSources) uint64 { return s.stats.ZeroCopyShares })
+	counter("ipc.zerocopy.cowbreaks", func(s *metricSources) uint64 { return s.stats.ZeroCopyCOWBreaks })
+	counter("ipc.zerocopy.fallbacks", func(s *metricSources) uint64 { return s.stats.ZeroCopyFallbacks })
 	m.PagerNotices = reg.Counter("pager.fault_notices")
 	m.ThreadsLive = reg.Gauge("threads.live")
 	m.ThreadsCreated = reg.Counter("threads.created")
 	for i, name := range LockKindNames {
-		m.LockAcquires[i] = reg.Counter("lock.acquires." + name)
-		m.LockContended[i] = reg.Counter("lock.contended." + name)
-		m.LockWaitCycles[i] = reg.Counter("lock.wait_cycles." + name)
+		counter("lock.acquires."+name, func(s *metricSources) uint64 { return s.locks[i].Acquires })
+		counter("lock.contended."+name, func(s *metricSources) uint64 { return s.locks[i].Contended })
+		counter("lock.wait_cycles."+name, func(s *metricSources) uint64 { return s.locks[i].WaitCycles })
 		m.LockHoldCycles[i] = reg.Histogram("lock.hold_cycles." + name)
 	}
-	m.IPIs = reg.Counter("sched.ipis")
-	m.Steals = reg.Counter("sched.steals")
+	counter("sched.ipis", func(s *metricSources) uint64 { return s.stats.IPIs })
+	counter("sched.steals", func(s *metricSources) uint64 { return s.stats.Steals })
 	m.CkptSnapshots = reg.Counter("ckpt.snapshots")
 	m.CkptDeltaSnapshots = reg.Counter("ckpt.delta_snapshots")
 	m.CkptFramesCaptured = reg.Counter("ckpt.frames_captured")
 	m.CkptFramesClean = reg.Counter("ckpt.frames_skipped_clean")
 	m.CkptDowntimeCycles = reg.Counter("ckpt.migrate.downtime_cycles")
-	m.TraceDropped = reg.Gauge("trace.dropped")
-	m.DecodePages = reg.Gauge("cpu.decode.pages")
-	m.DecodeStaleResets = reg.Gauge("cpu.decode.stale_resets")
-	m.BlocksBuilt = reg.Gauge("cpu.blocks.built")
-	m.BlockHits = reg.Gauge("cpu.blocks.hits")
-	m.BlockBails = reg.Gauge("cpu.blocks.bails")
-	m.BlockInvalidations = reg.Gauge("cpu.blocks.invalidations")
+	gauge("trace.dropped", func(s *metricSources) uint64 { return s.traceDropped })
+	gauge("cpu.decode.pages", func(s *metricSources) uint64 { return s.exec.PagesDecoded })
+	gauge("cpu.decode.stale_resets", func(s *metricSources) uint64 { return s.exec.StaleResets })
+	gauge("cpu.blocks.built", func(s *metricSources) uint64 { return s.exec.BlocksBuilt })
+	gauge("cpu.blocks.hits", func(s *metricSources) uint64 { return s.exec.BlockHits })
+	gauge("cpu.blocks.bails", func(s *metricSources) uint64 { return s.exec.BlockBails })
+	gauge("cpu.blocks.invalidations", func(s *metricSources) uint64 { return s.exec.BlockInvalidations })
+	reg.OnCollect(func() { m.collect(k) })
 	return m
 }
 
-// SyncTraceMetrics refreshes the metrics that mirror other observability
-// layers: the trace ring's dropped-event count and the interpreter's
-// decode/fused-block counters. Call before rendering or exporting a
-// metrics snapshot.
-func (k *Kernel) SyncTraceMetrics() {
-	if k.Metrics == nil {
-		return
+// collect reads k's counters and copies them into the derived
+// instruments. The registry runs it at every snapshot.
+func (m *KernelMetrics) collect(k *Kernel) {
+	src := &m.src
+	k.StatsInto(&src.stats)
+	// Under the sharded ParallelHost gate the per-queue slot counters are
+	// owner-CPU state written outside any shared lock, so lock.* stays
+	// unreported there.
+	if !k.shardedPar() {
+		if k.par != nil {
+			k.snapLock()
+		}
+		src.locks = k.LockStats()
+		if k.par != nil {
+			k.snapUnlock()
+		}
 	}
+	src.exec = k.ExecStats()
+	src.traceDropped = 0
 	if k.Tracer != nil {
-		k.Metrics.TraceDropped.Set(int64(k.Tracer.Dropped()))
+		src.traceDropped = k.Tracer.Dropped()
 	}
-	es := k.ExecStats()
-	k.Metrics.DecodePages.Set(int64(es.PagesDecoded))
-	k.Metrics.DecodeStaleResets.Set(int64(es.StaleResets))
-	k.Metrics.BlocksBuilt.Set(int64(es.BlocksBuilt))
-	k.Metrics.BlockHits.Set(int64(es.BlockHits))
-	k.Metrics.BlockBails.Set(int64(es.BlockBails))
-	k.Metrics.BlockInvalidations.Set(int64(es.BlockInvalidations))
+	for _, d := range m.derived {
+		if v := d.get(src); d.counter != nil {
+			d.counter.Set(v)
+		} else {
+			d.gauge.Set(int64(v))
+		}
+	}
 }
 
-// RestartsByCause returns the restart counts in FaultCauseNames order —
-// the Table 3 cross-check surface.
-func (m *KernelMetrics) RestartsByCause() [NumFaultCauses]uint64 {
+// RestartsByCause returns the restartable-fault counts in FaultCauseNames
+// order — the Table 3 cross-check surface.
+func (s Stats) RestartsByCause() [NumFaultCauses]uint64 {
 	var out [NumFaultCauses]uint64
-	for i, c := range m.Restarts {
-		out[i] = c.Value()
+	for i, key := range faultCauseKeys {
+		out[i] = s.FaultCount[key]
 	}
 	return out
 }
 
 // EnableMetrics attaches a fresh metrics bundle to the kernel (idempotent:
-// an already-attached bundle is returned unchanged). Enable before
-// running; threads created earlier are not retroactively counted.
+// an already-attached bundle is returned unchanged). The derived
+// instruments read counters the kernel keeps from its start; the
+// hot-path ones count from this call, so enable before running.
 func (k *Kernel) EnableMetrics() *KernelMetrics {
 	if k.Metrics == nil {
-		k.Metrics = NewKernelMetrics(nil)
+		k.Metrics = newKernelMetrics(k)
 	}
 	return k.Metrics
-}
-
-// countFaultRestart records a restartable fault's cause-class restart
-// and the rolled-back cycles it discards.
-func (k *Kernel) countFaultRestart(class mmu.FaultClass, side FaultSide, rollback uint64) {
-	if k.Metrics == nil {
-		return
-	}
-	ci := causeIndex(class, side)
-	k.Metrics.Restarts[ci].Inc()
-	k.Metrics.RollbackCycles[ci].Add(rollback)
-}
-
-// countFaultRemedy records cycles spent servicing a fault of the given
-// cause class.
-func (k *Kernel) countFaultRemedy(class mmu.FaultClass, side FaultSide, cycles uint64) {
-	if k.Metrics == nil {
-		return
-	}
-	k.Metrics.RemedyCycles[causeIndex(class, side)].Add(cycles)
 }

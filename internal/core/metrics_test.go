@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +16,8 @@ import (
 // configurations: a mutex handle on an untouched demand-zero page (soft
 // fault + syscall restart), a run of null syscalls, a cond wait/signal
 // rendezvous (voluntary block + wake), and a timed sleep (timer wake).
-// Thread 2 enters at label "t2".
+// Thread 2 enters at label "t2"; thread 3, at label "t3", loads from an
+// unmapped address (a fatal fault).
 func observeProgram() *prog.Builder {
 	const (
 		mtx  = dataBase + 8*mem.PageSize // first touch of this page faults
@@ -40,6 +43,9 @@ func observeProgram() *prog.Builder {
 		Movi(4, flag).Movi(5, 1).St(4, 0, 5).
 		CondSignal(cnd).
 		MutexUnlock(mtx).
+		Halt()
+	b.Label("t3").
+		Movi(4, 0x7000_0000).Ld(5, 4, 0). // unmapped: a fatal fault
 		Halt()
 	return b
 }
@@ -83,8 +89,57 @@ func TestMetricsDoNotPerturbVirtualTime(t *testing.T) {
 	})
 }
 
-// TestMetricsMatchStats cross-checks every counter against the Stats
-// aggregates the benchmark harness already trusts.
+// snapshotValues reads k's registry the way every exporter does — a
+// Snapshot, with no sync call first — into name → value for counters and
+// gauges.
+func snapshotValues(k *core.Kernel) map[string]uint64 {
+	snap := k.Metrics.Registry.Snapshot()
+	out := map[string]uint64{}
+	for _, c := range snap.Counters {
+		out[c.Name] = c.Value
+	}
+	for _, g := range snap.Gauges {
+		out[g.Name] = uint64(g.Value)
+	}
+	return out
+}
+
+// TestMetricsSnapshotCollects pins the collect step: a registry snapshot
+// or render taken with no manual sync call already carries the derived
+// values — the interpreter-tier gauges and the Stats-derived counters.
+func TestMetricsSnapshotCollects(t *testing.T) {
+	e := newEnv(t, core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial})
+	e.k.EnableMetrics()
+	b := prog.New(codeBase)
+	b.Movi(6, 0).Movi(5, 200).
+		Label("loop").
+		Null().
+		Addi(7, 6, 3).Addi(7, 7, 5).Addi(6, 6, 1).
+		Blt(6, 5, "loop").
+		Halt()
+	e.run(t, 400_000_000, e.spawn(t, b, 10))
+
+	out := e.k.Metrics.Registry.Render("m")
+	got := snapshotValues(e.k)
+	st, es := e.k.Stats(), e.k.ExecStats()
+	if es.BlockHits == 0 || got["cpu.blocks.hits"] != es.BlockHits {
+		t.Errorf("cpu.blocks.hits = %d, ExecStats.BlockHits = %d (want equal, non-zero)",
+			got["cpu.blocks.hits"], es.BlockHits)
+	}
+	if !strings.Contains(out, "cpu.blocks.hits (gauge)") {
+		t.Errorf("Render has no cpu.blocks.hits row:\n%s", out)
+	}
+	if st.ContextSwitches == 0 || got["sched.context_switches"] != st.ContextSwitches {
+		t.Errorf("sched.context_switches = %d, Stats.ContextSwitches = %d (want equal, non-zero)",
+			got["sched.context_switches"], st.ContextSwitches)
+	}
+}
+
+// TestMetricsMatchStats checks every derived counter against the Stats or
+// LockStats field it is read from, and the hot-path instruments against
+// the Stats aggregates the benchmark harness already trusts. Thread 3 of
+// the observe program takes a fatal fault; a 2-CPU per-subsystem run
+// adds cross-CPU and lock-model traffic.
 func TestMetricsMatchStats(t *testing.T) {
 	// FaultCauseNames order: soft.client, soft.server, hard.client, hard.server.
 	causeKeys := [core.NumFaultCauses]core.FaultKey{
@@ -93,68 +148,95 @@ func TestMetricsMatchStats(t *testing.T) {
 		{Class: mmu.FaultHard, Side: core.FaultSame},
 		{Class: mmu.FaultHard, Side: core.FaultCross},
 	}
-	forEachConfig(t, func(t *testing.T, cfg core.Config) {
-		e := runObserve(t, cfg, true)
-		es := e.k.Stats()
-		m, st := e.k.Metrics, &es
+	cfgs := allConfigs()
+	cfgs = append(cfgs, core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
+		NumCPUs: 2, LockModel: core.LockPerSubsystem})
+	var lockAcquires uint64
+	for _, cfg := range cfgs {
+		name := cfg.Name()
+		if cfg.NumCPUs > 1 {
+			name = fmt.Sprintf("%s cpus=%d %s", name, cfg.NumCPUs, cfg.LockModel)
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, cfg)
+			m := e.k.EnableMetrics()
+			b := observeProgram()
+			t1 := e.spawn(t, b, 10)
+			t2 := e.spawnAt(b.Addr("t2"), 10)
+			t3 := e.spawnAt(b.Addr("t3"), 10)
+			e.run(t, 400_000_000, t1, t2, t3)
 
-		if got, want := m.CtxSwitches.Value(), st.ContextSwitches; got != want {
-			t.Errorf("sched.context_switches = %d, Stats.ContextSwitches = %d", got, want)
-		}
-		if got, want := m.RestartsTotal.Value(), st.Restarts; got != want {
-			t.Errorf("syscall.restarts = %d, Stats.Restarts = %d", got, want)
-		}
-		if got, want := m.PreemptsUser.Value(), st.PreemptsUser; got != want {
-			t.Errorf("preempts.user_boundary = %d, Stats = %d", got, want)
-		}
-		if got, want := m.PreemptsPoint.Value(), st.PreemptsPoint; got != want {
-			t.Errorf("preempts.explicit_point = %d, Stats = %d", got, want)
-		}
-		if got, want := m.PreemptsKernel.Value(), st.PreemptsKernel; got != want {
-			t.Errorf("preempts.in_kernel = %d, Stats = %d", got, want)
-		}
-
-		// Null never blocks, so every dispatch episode completes and is
-		// observed by the latency histogram.
-		if got, want := m.SyscallLatency[sys.NNull].Count(), st.SyscallsByNum[sys.NNull]; got != want {
-			t.Errorf("null latency observations = %d, SyscallsByNum = %d", got, want)
-		}
-		var observed uint64
-		for n := 0; n < sys.NumSyscalls; n++ {
-			observed += m.SyscallLatency[n].Count()
-		}
-		if observed == 0 || observed > st.Syscalls {
-			t.Errorf("latency episodes observed = %d, Stats.Syscalls = %d", observed, st.Syscalls)
-		}
-
-		restarts := m.RestartsByCause()
-		for i, key := range causeKeys {
-			name := core.FaultCauseNames[i]
-			if got, want := restarts[i], st.FaultCount[key]; got != want {
-				t.Errorf("fault.restarts.%s = %d, Stats.FaultCount = %d", name, got, want)
+			got := snapshotValues(e.k)
+			es := e.k.Stats()
+			st := &es
+			want := map[string]uint64{
+				"sched.context_switches":        st.ContextSwitches,
+				"sched.timer_irqs":              st.TimerIRQs,
+				"sched.ipis":                    st.IPIs,
+				"sched.steals":                  st.Steals,
+				"sched.preempts.user_boundary":  st.PreemptsUser,
+				"sched.preempts.explicit_point": st.PreemptsPoint,
+				"sched.preempts.in_kernel":      st.PreemptsKernel,
+				"syscall.restarts":              st.Restarts,
+				"fault.fatal":                   st.FaultCount[core.FaultKey{Class: mmu.FaultFatal, Side: core.FaultSame}],
+				"ipc.fastpath.hits":             st.FastpathHits,
+				"ipc.fastpath.misses":           st.FastpathMisses,
+				"ipc.fastpath.fallbacks":        st.FastpathFallbacks,
+				"ipc.zerocopy.shares":           st.ZeroCopyShares,
+				"ipc.zerocopy.cowbreaks":        st.ZeroCopyCOWBreaks,
+				"ipc.zerocopy.fallbacks":        st.ZeroCopyFallbacks,
 			}
-			if got, want := m.RollbackCycles[i].Value(), st.FaultRollback[key]; got != want {
-				t.Errorf("fault.rollback_cycles.%s = %d, Stats.FaultRollback = %d", name, got, want)
+			for i, key := range causeKeys {
+				name := core.FaultCauseNames[i]
+				want["fault.restarts."+name] = st.FaultCount[key]
+				want["fault.rollback_cycles."+name] = st.FaultRollback[key]
+				want["fault.remedy_cycles."+name] = st.FaultRemedy[key]
 			}
-			if got, want := m.RemedyCycles[i].Value(), st.FaultRemedy[key]; got != want {
-				t.Errorf("fault.remedy_cycles.%s = %d, Stats.FaultRemedy = %d", name, got, want)
+			for _, l := range e.k.LockStats() {
+				want["lock.acquires."+l.Name] = l.Acquires
+				want["lock.contended."+l.Name] = l.Contended
+				want["lock.wait_cycles."+l.Name] = l.WaitCycles
+				lockAcquires += l.Acquires
 			}
-		}
-		if restarts[0] == 0 {
-			t.Error("workload should have produced at least one soft.client restart")
-		}
-		if m.FaultsFatal.Value() != 0 {
-			t.Errorf("fault.fatal = %d, want 0", m.FaultsFatal.Value())
-		}
+			for name, w := range want {
+				if g, ok := got[name]; !ok || g != w {
+					t.Errorf("%s = %d (registered %v), source = %d", name, g, ok, w)
+				}
+			}
+			if got["fault.restarts.soft.client"] == 0 {
+				t.Error("workload should have produced at least one soft.client restart")
+			}
+			if got["fault.fatal"] != 1 {
+				t.Errorf("fault.fatal = %d, want 1 (thread 3)", got["fault.fatal"])
+			}
+			if cfg.NumCPUs > 1 && got["sched.ipis"]+got["sched.steals"] == 0 {
+				t.Error("2-CPU run recorded no IPIs or steals")
+			}
 
-		if m.Wakes.Value() == 0 {
-			t.Error("no wakes counted despite sleep and cond_signal")
-		}
-		if got := m.ThreadsCreated.Value(); got != 2 {
-			t.Errorf("threads.created = %d, want 2", got)
-		}
-		if got := m.ThreadsLive.Value(); got != 0 {
-			t.Errorf("threads.live = %d after both exited, want 0", got)
-		}
-	})
+			// Null never blocks, so every dispatch episode completes and is
+			// observed by the latency histogram.
+			if got, want := m.SyscallLatency[sys.NNull].Count(), st.SyscallsByNum[sys.NNull]; got != want {
+				t.Errorf("null latency observations = %d, SyscallsByNum = %d", got, want)
+			}
+			var observed uint64
+			for n := 0; n < sys.NumSyscalls; n++ {
+				observed += m.SyscallLatency[n].Count()
+			}
+			if observed == 0 || observed > st.Syscalls {
+				t.Errorf("latency episodes observed = %d, Stats.Syscalls = %d", observed, st.Syscalls)
+			}
+			if m.Wakes.Value() == 0 {
+				t.Error("no wakes counted despite sleep and cond_signal")
+			}
+			if got := m.ThreadsCreated.Value(); got != 3 {
+				t.Errorf("threads.created = %d, want 3", got)
+			}
+			if got := m.ThreadsLive.Value(); got != 0 {
+				t.Errorf("threads.live = %d after all exited, want 0", got)
+			}
+		})
+	}
+	if lockAcquires == 0 {
+		t.Error("no lock acquires anywhere; the lock.* checks are vacuous")
+	}
 }

@@ -169,9 +169,6 @@ func (k *Kernel) schedSteal(c *CPU) *obj.Thread {
 			k.countFastpathFallback()
 		}
 		c.stats.Steals++
-		if k.Metrics != nil {
-			k.Metrics.Steals.Inc()
-		}
 		k.emit(trace.Steal, uint32(victim.id), t.ID)
 		// A stolen spanned thread (queued or staged donation) migrates the
 		// request to this CPU — a cross-CPU hop on its causal chain.
@@ -340,9 +337,6 @@ func (k *Kernel) kickCPU(c *CPU, target *CPU) {
 	// kick to its mailbox instead (the owner sets its own flag on drain).
 	if k.shardedPar() && target != c {
 		c.stats.IPIs++
-		if k.Metrics != nil {
-			k.Metrics.IPIs.Inc()
-		}
 		k.emit(trace.IPI, uint32(target.id), 0)
 		k.mailPostKick(target)
 		return
@@ -352,9 +346,6 @@ func (k *Kernel) kickCPU(c *CPU, target *CPU) {
 		target.reschedSince = c.clk.Now()
 	}
 	c.stats.IPIs++
-	if k.Metrics != nil {
-		k.Metrics.IPIs.Inc()
-	}
 	k.emit(trace.IPI, uint32(target.id), 0)
 	if k.par != nil {
 		k.par.wakeIdlers()
@@ -375,9 +366,6 @@ func (k *Kernel) armSliceTimer(c *CPU) {
 	}
 	c.sliceTimer = c.clk.After(k.cfg.Quantum, func(uint64) {
 		c.stats.TimerIRQs++
-		if k.Metrics != nil {
-			k.Metrics.TimerIRQs.Inc()
-		}
 		cur := c.current
 		if cur == nil {
 			return
@@ -410,32 +398,6 @@ func (k *Kernel) ensureSliceTimer(c *CPU) {
 
 // ---------------------------------------------------------------------------
 // CPU selection for the deterministic serial interleaver.
-
-// chooseCPUScan returns the CPU to run next: smallest local virtual
-// time, ties preferring a CPU with queued runnable work, then one with a
-// pending timer, then the lowest index. Total order over kernel state ⇒
-// the interleaving is a pure function of the initial state.
-//
-// This is the O(n) reference implementation; RunUntil uses the O(log n)
-// clock heap (clockheap.go), which TestClockHeapMatchesScan pins to this
-// exact order.
-func (k *Kernel) chooseCPUScan() *CPU {
-	best := k.cpus[0]
-	bestClass := cpuClass(best)
-	for _, c := range k.cpus[1:] {
-		cn, bn := c.clk.Now(), best.clk.Now()
-		if cn < bn {
-			best, bestClass = c, cpuClass(c)
-			continue
-		}
-		if cn == bn {
-			if cl := cpuClass(c); cl < bestClass {
-				best, bestClass = c, cl
-			}
-		}
-	}
-	return best
-}
 
 // cpuClass ranks same-time CPUs for chooseCPU: runnable work first, then
 // pending timers, then idle. A staged handoff counts as runnable work —

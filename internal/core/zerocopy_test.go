@@ -48,7 +48,6 @@ type zcResult struct {
 func runZeroCopyBulk(t *testing.T, cfg core.Config, pagerBacked bool) zcResult {
 	t.Helper()
 	e := newEnv(t, cfg)
-	e.k.EnableMetrics()
 	bindIPC(t, e.k, e.s, e.s)
 
 	sreg, err := e.k.NewBoundRegion(e.s, kernelDataHandle(), zcPages*mem.PageSize, true)
@@ -150,7 +149,7 @@ func runZeroCopyBulk(t *testing.T, cfg core.Config, pagerBacked bool) zcResult {
 	res.memory = append(res.memory, ack...)
 
 	st := e.k.Stats()
-	res.restarts = e.k.Metrics.RestartsByCause()
+	res.restarts = st.RestartsByCause()
 	res.faults = map[core.FaultKey]uint64{}
 	for key, n := range st.FaultCount {
 		if key.Class == mmu.FaultCOW {

@@ -260,8 +260,8 @@ func (n *NIC) Counters() NICCounters {
 }
 
 // PublishMetrics copies the NIC's aggregate counters into reg as
-// dev.nic.* gauges — Set, not Add, so the publisher can refresh them at
-// every snapshot without double counting.
+// dev.nic.* gauges — Set, not Add, so it can run as a collector
+// (Registry.OnCollect) at every snapshot without double counting.
 func (n *NIC) PublishMetrics(reg *metrics.Registry) {
 	c := n.Counters()
 	reg.Gauge("dev.nic.irqs").Set(int64(c.IRQs))

@@ -28,9 +28,10 @@ import (
 // the operation restarts from its rolled-forward registers.
 
 // Table3Row is one measured flavour. Faults comes from the experiment's
-// own Stats bookkeeping; MetricRestarts is the same quantity as counted
-// by the metrics registry's fault.restarts.* counter for the flavour's
-// cause class — the two must agree (pinned by TestTable3MetricsAgree).
+// own Stats bookkeeping; MetricRestarts is the same quantity as read from
+// a metrics registry snapshot's fault.restarts.* counter for the
+// flavour's cause class, which the registry derives from Stats by cause
+// key — the two must agree (pinned by TestTable3MetricsAgree).
 type Table3Row struct {
 	Cause          string
 	RemedyUS       float64
@@ -181,7 +182,11 @@ func runTable3Flavor(hard, serverSide bool) (Table3Row, error) {
 	if serverSide {
 		ci++
 	}
-	row.MetricRestarts = m.RestartsByCause()[ci]
+	for _, c := range m.Registry.Snapshot().Counters {
+		if c.Name == "fault.restarts."+core.FaultCauseNames[ci] {
+			row.MetricRestarts = c.Value
+		}
+	}
 	return row, nil
 }
 

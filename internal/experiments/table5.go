@@ -44,8 +44,8 @@ func FastTable5Scale() Table5Scale {
 // IPC-fastpath regimes (the Off fields are the Config.DisableIPCFastPath
 // rerun, normalized against the off-regime Process NP base so each column
 // stays internally consistent). The kernel activity counters come from the
-// metrics registry attached to the fastpath-on run's kernel and feed
-// Table5MetricsAppendix.
+// fastpath-on run's kernel — its Stats, plus the IPC byte count from its
+// metrics registry — and feed Table5MetricsAppendix.
 type Table5Cell struct {
 	Config        string
 	VirtualMS     float64
@@ -74,15 +74,15 @@ func Table5(sc Table5Scale) ([]Table5Result, error) {
 		"flukeperf": func(k *core.Kernel) (*workload.Workload, error) { return workload.NewFlukeperf(k, sc.Flukeperf) },
 		"gcc":       func(k *core.Kernel) (*workload.Workload, error) { return workload.NewGCC(k, sc.GCC) },
 	}
-	// One workload run on one configuration; returns (virtual ms, metrics).
-	runOne := func(name string, cfg core.Config) (float64, *core.KernelMetrics, error) {
+	// One workload run on one configuration; returns (virtual ms, kernel).
+	runOne := func(name string, cfg core.Config) (float64, *core.Kernel, error) {
 		// The paper's tables measure the copying kernel; zero-copy frame
 		// sharing (PR 5) collapses flukeperf's big transfers and with them
 		// the copy-bound ratios the tables reproduce. The Bandwidth
 		// experiment is where zero-copy is exercised.
 		cfg.DisableZeroCopy = true
 		k := core.New(cfg)
-		m := k.EnableMetrics()
+		k.EnableMetrics()
 		w, err := mk[name](k)
 		if err != nil {
 			return 0, nil, fmt.Errorf("table5 %s %s: %w", name, cfg.Name(), err)
@@ -91,14 +91,14 @@ func Table5(sc Table5Scale) ([]Table5Result, error) {
 		if err != nil {
 			return 0, nil, fmt.Errorf("table5 %s %s: %w", name, cfg.Name(), err)
 		}
-		return float64(cycles) / (clock.CyclesPerMicrosecond * 1000), m, nil
+		return float64(cycles) / (clock.CyclesPerMicrosecond * 1000), k, nil
 	}
 	var out []Table5Result
 	for _, name := range []string{"memtest", "flukeperf", "gcc"} {
 		res := Table5Result{Workload: name}
 		var base, baseOff float64
 		for _, cfg := range core.Configurations() {
-			ms, m, err := runOne(name, cfg)
+			ms, k, err := runOne(name, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -111,14 +111,15 @@ func Table5(sc Table5Scale) ([]Table5Result, error) {
 			if cfg.Name() == "Process NP" {
 				base, baseOff = ms, msOff
 			}
+			st := k.Stats()
 			res.Cells = append(res.Cells, Table5Cell{
 				Config:       cfg.Name(),
 				VirtualMS:    ms,
 				VirtualMSOff: msOff,
-				CtxSwitches:  m.CtxSwitches.Value(),
-				Restarts:     m.RestartsTotal.Value(),
-				IPCBytes:     m.IPCBytes.Value(),
-				FastpathHits: m.FastpathHits.Value(),
+				CtxSwitches:  st.ContextSwitches,
+				Restarts:     st.Restarts,
+				IPCBytes:     k.Metrics.IPCBytes.Value(),
+				FastpathHits: st.FastpathHits,
 			})
 		}
 		for i := range res.Cells {

@@ -36,6 +36,10 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v += n }
 
+// Set replaces the count. It is for counters derived from an event count
+// kept elsewhere, which a collector (Registry.OnCollect) copies in.
+func (c *Counter) Set(v uint64) { c.v = v }
+
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
@@ -139,9 +143,10 @@ func (h *Histogram) Quantile(q float64) uint64 {
 // Counter/Gauge/Histogram methods) allocates; updates through the
 // returned pointers never do.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	collectors []func()
 }
 
 // New returns an empty registry.
@@ -183,6 +188,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// OnCollect registers f to run at the start of every Snapshot — and so
+// of every Render and Prometheus export — before any instrument is read.
+// Instruments whose source of truth is counted elsewhere (kernel Stats,
+// lock counters, device counters) are filled by such a collector, so no
+// exporter can see a stale value.
+func (r *Registry) OnCollect(f func()) { r.collectors = append(r.collectors, f) }
+
 // CounterSnap is one counter in a snapshot.
 type CounterSnap struct {
 	Name  string
@@ -213,9 +225,12 @@ type Snapshot struct {
 	Histograms []HistSnap
 }
 
-// Snapshot captures the registry. The result is deterministic: sorted by
-// name within each instrument kind.
+// Snapshot runs the collectors and captures the registry. The result is
+// deterministic: sorted by name within each instrument kind.
 func (r *Registry) Snapshot() Snapshot {
+	for _, f := range r.collectors {
+		f()
+	}
 	var s Snapshot
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.Value()})
