@@ -281,8 +281,8 @@ func (k *Kernel) newSpaceInternal() *obj.Space {
 		// Fine model: this space gets its own obj/mmu lock instance pair
 		// (consecutive slots, obj first — spaceMMUSlot relies on that).
 		n := itoa(len(k.spaces))
-		s.LockSlot = k.addLockSlot(lockObj, "obj.s"+n, spanRingSize(len(k.cpus)))
-		k.addLockSlot(lockMMU, "mmu.s"+n, spanRingSize(len(k.cpus)))
+		s.LockSlot = k.addLockSlot(lockObj, "obj.s"+n, holdWindow(len(k.cpus)))
+		k.addLockSlot(lockMMU, "mmu.s"+n, holdWindow(len(k.cpus)))
 	}
 	s.HomeCPU = k.nextSpaceHome
 	k.nextSpaceHome = (k.nextSpaceHome + 1) % len(k.cpus)

@@ -2,11 +2,11 @@ package core
 
 // The multiprocessor locking models (Config.LockModel). Locks here are
 // *virtual*: they serialize simulated kernel execution in virtual time
-// rather than host execution. Each lock keeps the virtual time its last
-// holder released it (busyUntil); a CPU whose local clock is behind that
-// time acquires by spinning — its clock advances to the release point and
-// the spin cycles are charged as kernel time. With one CPU a lock can
-// never be busy (the same clock both sets and tests busyUntil), so every
+// rather than host execution. Each lock remembers its recent hold
+// intervals (holdHistory); a CPU whose local clock lands inside one
+// acquires by spinning — its clock advances to the release point and the
+// spin cycles are charged as kernel time. With one CPU a lock can never
+// be busy (the same clock both records and tests the holds), so every
 // acquire is free and the NumCPUs==1 timeline is bit-identical to the
 // uniprocessor kernel under any model — pinned by the multicpu tests.
 //
@@ -79,36 +79,171 @@ const NumLockKinds = int(numLocks)
 // LockKindNames are the lock names in lockID order.
 var LockKindNames = [NumLockKinds]string{"sched", "obj", "mmu", "big"}
 
-// lockHistory is how many recent hold intervals each lock remembers at
-// the classic CPU counts. The serial interleaver bounds cross-CPU clock
-// skew to roughly one dispatch episode, so only the holds of the last few
-// episodes can ever overlap an acquirer's local time; older entries are
-// dead weight. Overwriting a still-relevant interval errs toward *less*
-// contention, so the ring is sized generously relative to the holds a
-// single episode performs — and scaled with the CPU count past 4 CPUs
-// (spanRingSize), where a shared slot can see a full system's worth of
-// holds between one CPU's turns. The 1–4 CPU ring stays at the historic
-// 64 so existing seeds reproduce bit-exactly.
+// lockHistory is the hold-history window at the classic CPU counts: a
+// lock remembers its last lockHistory published holds, and the hold
+// published lockHistory holds ago is forgotten when the next one lands.
+// The rule and the sizes are fixed: every seed and pinned virtual output
+// was recorded under them. The serial interleaver bounds cross-CPU clock
+// skew to roughly one dispatch episode, so only the holds of the last
+// few episodes can overlap an acquirer's local time. Forgetting a
+// still-relevant hold errs toward *less* contention, so the window is
+// sized generously relative to the holds one episode performs, and
+// scaled with the CPU count past 4 CPUs (holdWindow), where a shared
+// slot can see a full system's worth of holds between one CPU's turns.
+// lock.history_evicted_live counts the holds forgotten while some CPU's
+// clock was still behind their end.
 const lockHistory = 64
 
-// spanRingSize returns the hold-interval ring length for a kernel with
-// ncpus processors.
-func spanRingSize(ncpus int) int {
+// holdWindow returns the hold-history window for a kernel with ncpus
+// processors.
+func holdWindow(ncpus int) int {
 	if ncpus <= 4 {
 		return lockHistory
 	}
 	return 16 * ncpus
 }
 
-// holdSpan is one completed [from, until) hold of a lock in virtual time.
+// holdSpan is one completed [from, until) hold of a lock in virtual
+// time; seq numbers it in publish order, from 1.
 type holdSpan struct {
 	from, until uint64
+	seq         uint64
 }
 
-// vlock is one virtual lock slot: a ring of its recent hold intervals
-// plus contention counters. Access is serialized by the deterministic
-// scheduler loop, by the ParallelHost gate, or — for a fine-model queue
-// slot under the sharded gate — by the owning CPU's gate shard.
+// holdHistory answers the contention query for one lock: the earliest
+// time at or after an acquirer's clock that none of the lock's last
+// `window` published holds covers. The answer depends only on the set
+// of remembered spans, not on the order they are looked at, so the
+// history keeps just the spans that can still change an answer, and a
+// query costs in proportion to them rather than to the window:
+//
+//   - maxUntil bounds the end of every span kept; an acquirer at or past
+//     it is uncontended without looking at a span. At one CPU that is
+//     every acquire.
+//   - floor is a low frontier: a time at or below every CPU's clock.
+//     CPU clocks only move forward and every acquire queries at its own
+//     CPU's clock, so a span ending at or before floor can never cover
+//     a future query. Such spans are dropped when the lists fill up
+//     (compact), so the lists hold about the spans above the frontier,
+//     never more than twice the window.
+//   - live is kept sorted by from, so one forward sweep answers a query
+//     (clearUntil). order keeps the same spans in publish order: the
+//     spans the window forgets are a prefix of it, which is what makes
+//     each eviction O(1) to notice (lock.history_evicted_live). An
+//     evicted span stays in live, skipped by its seq, until the next
+//     compaction.
+//
+// The frontier comes in as a function, evaluated only at compaction and
+// at the eviction of a span still above the last floor seen.
+type holdHistory struct {
+	live      []holdSpan // sorted by from
+	order     []holdSpan // publish order; order[:head] has left the window
+	head      int
+	window    uint64 // holds remembered (holdWindow)
+	published uint64 // holds published so far; the newest has seq == published
+	maxUntil  uint64 // no span kept ends after this
+	floor     uint64 // at or below every CPU clock when last read
+
+	// evictedLive counts spans that left the window while still above
+	// the frontier: contention the lock model stopped seeing.
+	evictedLive uint64
+}
+
+// clearUntil returns the earliest time >= now at which no remembered hold
+// covers the clock — the moment a spinning CPU would get the lock.
+//
+// One sweep in from order suffices: now only grows, so a span passed
+// over because it ended at or before now never covers it later, and once
+// a span starts after now every later one does too.
+func (h *holdHistory) clearUntil(now uint64) uint64 {
+	if now >= h.maxUntil {
+		return now
+	}
+	cut := h.published - min(h.published, h.window) // seq <= cut: forgotten
+	for i := range h.live {
+		s := &h.live[i]
+		if s.from > now {
+			break
+		}
+		if now < s.until && s.seq > cut {
+			now = s.until
+		}
+	}
+	return now
+}
+
+// publish remembers the hold [from, until) and forgets the one that
+// leaves the window. Zero-length holds are not remembered (no clock can
+// land inside one) and do not count toward the window. frontier returns
+// a time at or below every CPU's current clock.
+func (h *holdHistory) publish(from, until uint64, frontier func() uint64) {
+	if until <= from {
+		return
+	}
+	h.published++
+	for h.head < len(h.order) && h.order[h.head].seq+h.window <= h.published {
+		if u := h.order[h.head].until; u > h.floor {
+			h.floor = max(h.floor, frontier())
+			if u > h.floor {
+				h.evictedLive++
+			}
+		}
+		h.head++
+	}
+	if len(h.live) == cap(h.live) {
+		h.compact(frontier())
+	}
+	s := holdSpan{from: from, until: until, seq: h.published}
+	h.order = append(h.order, s)
+	// Insert in from order. Spans arrive nearly in that order (the
+	// interleaver runs the slowest CPU), so the shift is short.
+	i := len(h.live)
+	h.live = append(h.live, s)
+	for ; i > 0 && h.live[i-1].from > from; i-- {
+		h.live[i] = h.live[i-1]
+	}
+	h.live[i] = s
+	h.maxUntil = max(h.maxUntil, until)
+}
+
+// compact drops the spans that left the window or end at or before the
+// frontier from both lists, and doubles their capacity (up to twice the
+// window) while more than half of it is still in use, so appends between
+// compactions pay for the pass.
+func (h *holdHistory) compact(frontier uint64) {
+	h.floor = max(h.floor, frontier)
+	cut := h.published - min(h.published, h.window)
+	h.live = h.keep(h.live, cut)
+	h.order, h.head = h.keep(h.order, cut), 0
+	h.maxUntil = 0
+	for _, s := range h.live {
+		h.maxUntil = max(h.maxUntil, s.until)
+	}
+}
+
+// keep filters spans in place to those in the window and above the
+// floor, growing the slice's capacity per compact's rule.
+func (h *holdHistory) keep(spans []holdSpan, cut uint64) []holdSpan {
+	n := 0
+	for _, s := range spans {
+		if s.seq > cut && s.until > h.floor {
+			spans[n] = s
+			n++
+		}
+	}
+	spans = spans[:n]
+	if c := min(max(2*cap(spans), 8), 2*int(h.window)); 2*n >= cap(spans) && c > cap(spans) {
+		grown := make([]holdSpan, n, c)
+		copy(grown, spans)
+		spans = grown
+	}
+	return spans
+}
+
+// vlock is one virtual lock slot: its hold history plus contention
+// counters. Access is serialized by the deterministic scheduler loop, by
+// the ParallelHost gate, or — for a fine-model queue slot under the
+// sharded gate — by the owning CPU's gate shard.
 //
 // Intervals — not just the last release time — matter because the serial
 // interleaver is coarse: one dispatch can run a CPU's clock far ahead of
@@ -119,28 +254,10 @@ type holdSpan struct {
 // charged exactly when the acquirer's clock lands inside a remembered
 // hold, which is when a real CPU would have spun.
 type vlock struct {
-	spans      []holdSpan
-	next       int // ring write cursor
+	hist       holdHistory
 	acquires   uint64
 	contended  uint64
 	waitCycles uint64
-}
-
-// clearUntil returns the earliest time >= now at which no remembered hold
-// of vl covers the clock — the moment a spinning CPU would get the lock.
-func (vl *vlock) clearUntil(now uint64) uint64 {
-	for {
-		hit := false
-		for i := range vl.spans {
-			if s := &vl.spans[i]; s.from <= now && now < s.until {
-				now = s.until
-				hit = true
-			}
-		}
-		if !hit {
-			return now
-		}
-	}
 }
 
 // LockStat is one lock's contention counters, as reported by LockStats.
@@ -155,16 +272,16 @@ type LockStat struct {
 // per-run-queue instance slots. Per-space instances are appended later,
 // as spaces are created (newSpaceInternal).
 func (k *Kernel) initLockTable() {
-	ring := spanRingSize(len(k.cpus))
+	window := holdWindow(len(k.cpus))
 	k.vlocks = make([]vlock, 0, numFixedSlots+len(k.cpus))
 	k.lockKinds = make([]lockID, 0, cap(k.vlocks))
 	k.lockNames = make([]string, 0, cap(k.vlocks))
 	for id := lockID(0); id < numLocks; id++ {
-		k.addLockSlot(id, LockKindNames[id], ring)
+		k.addLockSlot(id, LockKindNames[id], window)
 	}
 	if k.cfg.LockModel == LockFine {
 		for _, c := range k.cpus {
-			k.addLockSlot(lockSched, "runq"+itoa(c.id), ring)
+			k.addLockSlot(lockSched, "runq"+itoa(c.id), window)
 		}
 	}
 }
@@ -174,9 +291,9 @@ func (k *Kernel) initLockTable() {
 // deterministic modes (single-threaded); the sharded ParallelHost gate
 // never grows the table after New (it uses the fixed obj/mmu slots — see
 // fineSpaceLocks).
-func (k *Kernel) addLockSlot(kind lockID, name string, ring int) int {
+func (k *Kernel) addLockSlot(kind lockID, name string, window int) int {
 	slot := len(k.vlocks)
-	k.vlocks = append(k.vlocks, vlock{spans: make([]holdSpan, ring)})
+	k.vlocks = append(k.vlocks, vlock{hist: holdHistory{window: uint64(window)}})
 	k.lockKinds = append(k.lockKinds, kind)
 	k.lockNames = append(k.lockNames, name)
 	for _, c := range k.cpus {
@@ -329,7 +446,7 @@ func (k *Kernel) lockAcquireSlot(c *CPU, slot int) {
 	vl.acquires++
 	if k.par == nil {
 		now := c.clk.Now()
-		if free := vl.clearUntil(now); free > now {
+		if free := vl.hist.clearUntil(now); free > now {
 			wait := free - now
 			vl.contended++
 			vl.waitCycles += wait
@@ -358,10 +475,9 @@ func (k *Kernel) lockReleaseSlot(c *CPU, slot int) {
 		k.Metrics.LockHoldCycles[k.lockKinds[slot]].Observe(now - c.lockSince[slot])
 	}
 	// Publish this hold so later (possibly clock-behind) acquirers spin
-	// past it. Zero-length holds need no entry: no clock can land inside.
-	if vl := &k.vlocks[slot]; k.par == nil && now > c.lockSince[slot] {
-		vl.spans[vl.next] = holdSpan{from: c.lockSince[slot], until: now}
-		vl.next = (vl.next + 1) % len(vl.spans)
+	// past it.
+	if k.par == nil {
+		k.vlocks[slot].hist.publish(c.lockSince[slot], now, k.lockFrontier)
 	}
 	// Drop slot from the held list (near-LIFO in practice; scan from top).
 	for i := len(c.held) - 1; i >= 0; i-- {
@@ -370,6 +486,17 @@ func (k *Kernel) lockReleaseSlot(c *CPU, slot int) {
 			break
 		}
 	}
+}
+
+// lockFrontier is the hold histories' low frontier: the minimum CPU
+// clock. Every clock is monotone and every acquire queries at its CPU's
+// clock, so no later query can fall below it.
+func (k *Kernel) lockFrontier() uint64 {
+	f := k.cpus[0].clk.Now()
+	for _, c := range k.cpus[1:] {
+		f = min(f, c.clk.Now())
+	}
+	return f
 }
 
 // lockAcquire takes (the model's slot for) lock kind id on behalf of c.

@@ -46,10 +46,11 @@ var faultCauseKeys = [NumFaultCauses]FaultKey{
 // fields are updated on the hot paths because nothing else counts their
 // events: pre-registered, so an update is a pointer dereference. The
 // rest — context switches, preemptions, restarts, fault costs, IPC
-// fast-path and zero-copy counts, lock contention, interpreter-tier and
-// trace-ring counters — are counted once, by Stats, the vlock counters,
-// cpu.ExecStats and the trace ring, and copied into the registry by a
-// collector at every snapshot (collect).
+// fast-path and zero-copy counts, lock contention and hold-history
+// evictions, interpreter-tier and trace-ring counters — are counted
+// once, by Stats, the vlock counters, cpu.ExecStats and the trace ring,
+// and copied into the registry by a collector at every snapshot
+// (collect).
 type KernelMetrics struct {
 	Registry *metrics.Registry
 
@@ -99,6 +100,7 @@ type KernelMetrics struct {
 type metricSources struct {
 	stats        Stats
 	locks        [NumLockKinds]LockStat
+	evictedLive  uint64 // holdHistory.evictedLive over every lock slot
 	exec         cpu.ExecStats
 	traceDropped uint64
 }
@@ -162,6 +164,7 @@ func newKernelMetrics(k *Kernel) *KernelMetrics {
 		counter("lock.wait_cycles."+name, func(s *metricSources) uint64 { return s.locks[i].WaitCycles })
 		m.LockHoldCycles[i] = reg.Histogram("lock.hold_cycles." + name)
 	}
+	counter("lock.history_evicted_live", func(s *metricSources) uint64 { return s.evictedLive })
 	counter("sched.ipis", func(s *metricSources) uint64 { return s.stats.IPIs })
 	counter("sched.steals", func(s *metricSources) uint64 { return s.stats.Steals })
 	m.CkptSnapshots = reg.Counter("ckpt.snapshots")
@@ -193,6 +196,10 @@ func (m *KernelMetrics) collect(k *Kernel) {
 			k.snapLock()
 		}
 		src.locks = k.LockStats()
+		src.evictedLive = 0
+		for i := range k.vlocks {
+			src.evictedLive += k.vlocks[i].hist.evictedLive
+		}
 		if k.par != nil {
 			k.snapUnlock()
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/mmu"
+	"repro/internal/obj"
 	"repro/internal/prog"
 	"repro/internal/sys"
 )
@@ -238,5 +239,37 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 	if lockAcquires == 0 {
 		t.Error("no lock acquires anywhere; the lock.* checks are vacuous")
+	}
+}
+
+// TestLockHistoryEvictedLive pins lock.history_evicted_live, the count
+// of holds the lock model forgot while some CPU's clock was still behind
+// their end. With a 2-hold window, eight CPUs sharing the big lock
+// forget live holds; one CPU never can, whatever the window, because its
+// own clock is already past every hold it released.
+func TestLockHistoryEvictedLive(t *testing.T) {
+	for _, tc := range []struct {
+		cpus     int
+		wantLive bool
+	}{{8, true}, {1, false}} {
+		t.Run(fmt.Sprintf("cpus=%d", tc.cpus), func(t *testing.T) {
+			cfg := core.Config{Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
+				NumCPUs: tc.cpus, LockModel: core.LockBig}
+			k := runParallelPairsHook(t, cfg, 3, 16, func(k *core.Kernel, _ *obj.Space) func() {
+				core.SetHoldWindow(k, 2)
+				k.EnableMetrics()
+				return nil
+			})
+			got, ok := snapshotValues(k)["lock.history_evicted_live"]
+			if !ok {
+				t.Fatal("lock.history_evicted_live is not registered")
+			}
+			if tc.wantLive && got == 0 {
+				t.Errorf("lock.history_evicted_live = 0 at %d CPUs with a 2-hold window, want > 0", tc.cpus)
+			}
+			if !tc.wantLive && got != 0 {
+				t.Errorf("lock.history_evicted_live = %d at 1 CPU, want 0", got)
+			}
+		})
 	}
 }

@@ -239,10 +239,11 @@ func runParallelPairs(t *testing.T, cfg core.Config, pairs, rpcs int) *core.Kern
 }
 
 // runParallelPairsHook is runParallelPairs with a hook invoked just
-// before the run starts; the hook returns a stop function called after
-// the run completes. Snapshot-concurrency tests use it to observe the
-// kernel from another goroutine while the CPU goroutines step.
-func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook func(*core.Kernel) func()) *core.Kernel {
+// before the run starts, given the kernel and the compute thread's
+// space; the hook returns a stop function (or nil) called after the run
+// completes. Snapshot-concurrency tests use it to observe the kernel
+// from another goroutine while the CPU goroutines step.
+func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook func(*core.Kernel, *obj.Space) func()) *core.Kernel {
 	t.Helper()
 	k := core.New(cfg)
 
@@ -313,7 +314,7 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 
 	var stop func()
 	if hook != nil {
-		stop = hook(k)
+		stop = hook(k, we.s)
 	}
 	k.RunFor(8_000_000_000)
 	if stop != nil {
@@ -365,11 +366,67 @@ func TestParallelHostIPCPairs(t *testing.T) {
 	}
 }
 
+// liveSnapshots returns a runParallelPairsHook hook that reads the
+// Stats total (through statsTotal) and the profile total from its own
+// goroutine while the CPU goroutines step, failing if either ever goes
+// backwards, and counts in overlapped the reads that completed while the
+// run was live. That overlap does not depend on host timing: the hook
+// takes the compute space's step mutex before the run starts, so the
+// compute thread's CPU goroutine blocks, outside the gate, on its first
+// user batch and the run cannot finish. The reader lets the mutex go
+// only after a read whose Stats total is past the pre-run total — a
+// read taken after the run started and before it could end.
+func liveSnapshots(t *testing.T, overlapped *atomic.Int64, statsTotal func(*core.Kernel) uint64) func(*core.Kernel, *obj.Space) func() {
+	return func(k *core.Kernel, compute *obj.Space) func() {
+		compute.StepMu.Lock()
+		base := statsTotal(k)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			holding := true
+			defer func() {
+				if holding {
+					compute.StepMu.Unlock()
+				}
+			}()
+			var lastProf, lastStats uint64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				tot := statsTotal(k)
+				if tot < lastStats {
+					t.Errorf("Stats total went backwards: %d -> %d", lastStats, tot)
+					return
+				}
+				lastStats = tot
+				prof := k.ProfileSnapshot().TotalCycles()
+				if prof < lastProf {
+					t.Errorf("profile total went backwards: %d -> %d", lastProf, prof)
+					return
+				}
+				lastProf = prof
+				if holding && tot > base {
+					overlapped.Add(1)
+					holding = false
+					compute.StepMu.Unlock()
+				}
+			}
+		}()
+		return func() { close(done); wg.Wait() }
+	}
+}
+
 // TestParallelHostSnapshotsDuringRun reads Stats() and ProfileSnapshot()
 // from a separate goroutine while the per-CPU goroutines step — the live
 // observation pattern. The gate mutex makes each read a consistent
 // inter-dispatch view; -race (the CI race job runs TestParallelHost*)
-// checks the synchronization, this test checks the semantics: snapshot
+// checks the synchronization, this test checks the semantics: at least
+// one read lands mid-run (liveSnapshots makes sure of it), snapshot
 // totals never go backwards mid-run, and once the run quiesces the
 // profiler's attributed cycles equal Stats().TotalCycles() exactly —
 // the double-entry invariant holds across concurrent shard merges.
@@ -382,41 +439,11 @@ func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 				NumCPUs: 4, LockModel: lm, ParallelHost: true,
 				EnableProfiler: true,
 			}
-			var snaps atomic.Int64
-			hook := func(k *core.Kernel) func() {
-				done := make(chan struct{})
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var lastProf, lastStats uint64
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						st := k.Stats()
-						if tot := st.TotalCycles(); tot < lastStats {
-							t.Errorf("Stats total went backwards: %d -> %d", lastStats, tot)
-							return
-						} else {
-							lastStats = tot
-						}
-						if tot := k.ProfileSnapshot().TotalCycles(); tot < lastProf {
-							t.Errorf("profile total went backwards: %d -> %d", lastProf, tot)
-							return
-						} else {
-							lastProf = tot
-						}
-						snaps.Add(1)
-					}
-				}()
-				return func() { close(done); wg.Wait() }
-			}
+			var overlapped atomic.Int64
+			hook := liveSnapshots(t, &overlapped, func(k *core.Kernel) uint64 { return k.Stats().TotalCycles() })
 			k := runParallelPairsHook(t, cfg, 3, 16, hook)
-			if snaps.Load() == 0 {
-				t.Fatal("snapshot goroutine never completed a read")
+			if overlapped.Load() == 0 {
+				t.Fatal("no snapshot read completed while the CPU goroutines ran")
 			}
 			attributed := k.ProfileSnapshot().TotalCycles()
 			if want := k.Stats().TotalCycles(); attributed != want {
@@ -445,42 +472,15 @@ func TestParallelHostFineSnapshotsDuringRun(t *testing.T) {
 	if testing.Short() {
 		pairs, rpcs = 4, 4
 	}
-	var snaps atomic.Int64
-	hook := func(k *core.Kernel) func() {
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf core.Stats
-			var lastProf, lastStats uint64
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				k.StatsInto(&buf)
-				if tot := buf.TotalCycles(); tot < lastStats {
-					t.Errorf("Stats total went backwards: %d -> %d", lastStats, tot)
-					return
-				} else {
-					lastStats = tot
-				}
-				if tot := k.ProfileSnapshot().TotalCycles(); tot < lastProf {
-					t.Errorf("profile total went backwards: %d -> %d", lastProf, tot)
-					return
-				} else {
-					lastProf = tot
-				}
-				snaps.Add(1)
-			}
-		}()
-		return func() { close(done); wg.Wait() }
-	}
+	var overlapped atomic.Int64
+	var buf core.Stats // reused: the reader only runs on its own goroutine
+	hook := liveSnapshots(t, &overlapped, func(k *core.Kernel) uint64 {
+		k.StatsInto(&buf)
+		return buf.TotalCycles()
+	})
 	k := runParallelPairsHook(t, cfg, pairs, rpcs, hook)
-	if snaps.Load() == 0 {
-		t.Fatal("snapshot goroutine never completed a read")
+	if overlapped.Load() == 0 {
+		t.Fatal("no snapshot read completed while the CPU goroutines ran")
 	}
 	attributed := k.ProfileSnapshot().TotalCycles()
 	if want := k.Stats().TotalCycles(); attributed != want {
