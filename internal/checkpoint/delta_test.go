@@ -229,15 +229,23 @@ func TestDeltaChainRestoreAcrossCPUAndLockModel(t *testing.T) {
 
 // TestMigratePrecopyParallelHost runs the whole pre-copy loop — warm
 // snapshots and delta captures interleaved with RunFor on a live
-// kernel — under real host parallelism on both ends (4 CPUs, fine
-// locks), so a race between the capture walk and executing CPUs fails
+// kernel — under real host parallelism on both ends (4 CPUs, every lock
+// model), so a race between the capture walk and executing CPUs fails
 // under -race with a pointed test. The migrated run must still finish
 // with the undisturbed result.
 func TestMigratePrecopyParallelHost(t *testing.T) {
+	for _, lm := range []core.LockModel{core.LockBig, core.LockPerSubsystem, core.LockFine} {
+		t.Run("lockmodel="+lm.String(), func(t *testing.T) {
+			migratePrecopyParallelHost(t, lm)
+		})
+	}
+}
+
+func migratePrecopyParallelHost(t *testing.T, lm core.LockModel) {
 	const rounds = 12
 	cfg := core.Config{
 		Model: core.ModelInterrupt, Preempt: core.PreemptPartial,
-		NumCPUs: 4, LockModel: core.LockFine, ParallelHost: true,
+		NumCPUs: 4, LockModel: lm, ParallelHost: true,
 	}
 	want := undisturbedResult(t, cfg, rounds)
 

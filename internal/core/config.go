@@ -91,8 +91,7 @@ const (
 	// lock per run queue and one object-space/MMU lock pair per space, so
 	// kernel episodes touching disjoint CPUs and spaces never contend.
 	// Cross-queue operations (steals, remote enqueues) take the target
-	// queue's lock. In ParallelHost mode this model also shards the host
-	// gate (see parallel.go).
+	// queue's lock.
 	LockFine
 )
 
@@ -139,8 +138,9 @@ type Config struct {
 	LockModel LockModel
 
 	// ParallelHost opts into real host parallelism: one goroutine per
-	// simulated CPU, kernel sections serialized under the lock-model
-	// mutexes, user instruction batches running concurrently. Requires
+	// simulated CPU, kernel sections serialized under one host gate (the
+	// same under every lock model; see parallel.go), user instruction
+	// batches running concurrently. Requires
 	// the interrupt model (one kernel stack — one goroutine — per CPU is
 	// exactly the paper's interrupt-model shape). Execution is no longer
 	// deterministic; virtual time becomes per-CPU and skewed.

@@ -8,3 +8,13 @@ func SetHoldWindow(k *Kernel, n int) {
 		k.vlocks[i].hist.window = uint64(n)
 	}
 }
+
+// LiveLockStats reads LockStats the way an observation snapshot reads
+// Stats: under the snapshot lock when a ParallelHost run may be live.
+func LiveLockStats(k *Kernel) [NumLockKinds]LockStat {
+	if k.par != nil {
+		k.snapLock()
+		defer k.snapUnlock()
+	}
+	return k.LockStats()
+}

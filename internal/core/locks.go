@@ -41,10 +41,8 @@ package core
 // In ParallelHost mode the host gate (parallel.go) serializes kernel
 // sections, so the virtual spin waits are disabled (wall-clock
 // interleaving, not virtual-time modeling, decides contention there); the
-// hold/acquire counters still run. Under the sharded gate (fine model)
-// the per-queue slot counters are owner-CPU state updated outside the
-// shared kernel mutex, so the non-atomic metrics registry neither
-// observes lock holds nor reads the lock counters (lock.*) in that mode.
+// acquire counters and the lock-hold histogram still run, always under
+// the gate's kernel mutex, so lock.* is reported in that mode too.
 
 import (
 	"repro/internal/obj"
@@ -241,9 +239,8 @@ func (h *holdHistory) keep(spans []holdSpan, cut uint64) []holdSpan {
 }
 
 // vlock is one virtual lock slot: its hold history plus contention
-// counters. Access is serialized by the deterministic scheduler loop, by
-// the ParallelHost gate, or — for a fine-model queue slot under the
-// sharded gate — by the owning CPU's gate shard.
+// counters. Access is serialized by the deterministic scheduler loop or
+// by the ParallelHost gate's kernel mutex.
 //
 // Intervals — not just the last release time — matter because the serial
 // interleaver is coarse: one dispatch can run a CPU's clock far ahead of
@@ -288,9 +285,8 @@ func (k *Kernel) initLockTable() {
 
 // addLockSlot appends one lock instance of the given kind, growing every
 // CPU's hold-tracking arrays to match. Growing mid-run is safe in the
-// deterministic modes (single-threaded); the sharded ParallelHost gate
-// never grows the table after New (it uses the fixed obj/mmu slots — see
-// fineSpaceLocks).
+// deterministic modes (single-threaded); ParallelHost never grows the
+// table after New (it uses the fixed obj/mmu slots — see fineSpaceLocks).
 func (k *Kernel) addLockSlot(kind lockID, name string, window int) int {
 	slot := len(k.vlocks)
 	k.vlocks = append(k.vlocks, vlock{hist: holdHistory{window: uint64(window)}})
@@ -306,11 +302,11 @@ func (k *Kernel) addLockSlot(kind lockID, name string, window int) int {
 }
 
 // fineSpaceLocks reports whether spaces get their own obj/mmu lock
-// instances: fine model, deterministic mode only. The sharded
-// ParallelHost gate keeps the lock table fixed after New — per-space
-// slots would grow every CPU's hold arrays while other host goroutines
-// read them — and host-level concurrency, not the virtual-time model,
-// decides contention there anyway.
+// instances: fine model, deterministic mode only. ParallelHost keeps the
+// lock table fixed after New — per-space slots would grow every CPU's
+// hold arrays while other host goroutines read them — and host-level
+// concurrency, not the virtual-time model, decides contention there
+// anyway.
 func (k *Kernel) fineSpaceLocks() bool {
 	return k.cfg.LockModel == LockFine && k.par == nil
 }
@@ -471,7 +467,7 @@ func (k *Kernel) lockReleaseSlot(c *CPU, slot int) {
 		return
 	}
 	now := c.clk.Now()
-	if k.Metrics != nil && !k.shardedPar() {
+	if k.Metrics != nil {
 		k.Metrics.LockHoldCycles[k.lockKinds[slot]].Observe(now - c.lockSince[slot])
 	}
 	// Publish this hold so later (possibly clock-behind) acquirers spin

@@ -188,21 +188,16 @@ func newKernelMetrics(k *Kernel) *KernelMetrics {
 func (m *KernelMetrics) collect(k *Kernel) {
 	src := &m.src
 	k.StatsInto(&src.stats)
-	// Under the sharded ParallelHost gate the per-queue slot counters are
-	// owner-CPU state written outside any shared lock, so lock.* stays
-	// unreported there.
-	if !k.shardedPar() {
-		if k.par != nil {
-			k.snapLock()
-		}
-		src.locks = k.LockStats()
-		src.evictedLive = 0
-		for i := range k.vlocks {
-			src.evictedLive += k.vlocks[i].hist.evictedLive
-		}
-		if k.par != nil {
-			k.snapUnlock()
-		}
+	if k.par != nil {
+		k.snapLock()
+	}
+	src.locks = k.LockStats()
+	src.evictedLive = 0
+	for i := range k.vlocks {
+		src.evictedLive += k.vlocks[i].hist.evictedLive
+	}
+	if k.par != nil {
+		k.snapUnlock()
 	}
 	src.exec = k.ExecStats()
 	src.traceDropped = 0

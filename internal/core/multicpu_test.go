@@ -345,7 +345,7 @@ func runParallelPairsHook(t *testing.T, cfg core.Config, pairs, rpcs int, hook f
 }
 
 // TestParallelHostIPCPairs runs disjoint IPC pairs on 4 CPUs with one
-// goroutine per CPU, under both lock models and both interrupt-model
+// goroutine per CPU, under every lock model and both interrupt-model
 // preemption settings. Race-freedom is the point: the CI race job runs
 // this under -race.
 func TestParallelHostIPCPairs(t *testing.T) {
@@ -366,11 +366,13 @@ func TestParallelHostIPCPairs(t *testing.T) {
 	}
 }
 
-// liveSnapshots returns a runParallelPairsHook hook that reads the
-// Stats total (through statsTotal) and the profile total from its own
-// goroutine while the CPU goroutines step, failing if either ever goes
-// backwards, and counts in overlapped the reads that completed while the
-// run was live. That overlap does not depend on host timing: the hook
+// liveSnapshots returns a runParallelPairsHook hook that attaches a
+// metrics registry, then reads the Stats total (through statsTotal), the
+// profile total and the lock acquire total from its own goroutine while
+// the CPU goroutines step, failing if any ever goes backwards, and counts
+// in overlapped the reads that completed while the run was live. The
+// lock read goes through the snapshot lock like the others, so -race
+// checks that every virtual-lock counter write is under the gate. That overlap does not depend on host timing: the hook
 // takes the compute space's step mutex before the run starts, so the
 // compute thread's CPU goroutine blocks, outside the gate, on its first
 // user batch and the run cannot finish. The reader lets the mutex go
@@ -378,6 +380,7 @@ func TestParallelHostIPCPairs(t *testing.T) {
 // read taken after the run started and before it could end.
 func liveSnapshots(t *testing.T, overlapped *atomic.Int64, statsTotal func(*core.Kernel) uint64) func(*core.Kernel, *obj.Space) func() {
 	return func(k *core.Kernel, compute *obj.Space) func() {
+		k.EnableMetrics()
 		compute.StepMu.Lock()
 		base := statsTotal(k)
 		done := make(chan struct{})
@@ -391,7 +394,7 @@ func liveSnapshots(t *testing.T, overlapped *atomic.Int64, statsTotal func(*core
 					compute.StepMu.Unlock()
 				}
 			}()
-			var lastProf, lastStats uint64
+			var lastProf, lastStats, lastAcq uint64
 			for {
 				select {
 				case <-done:
@@ -410,6 +413,12 @@ func liveSnapshots(t *testing.T, overlapped *atomic.Int64, statsTotal func(*core
 					return
 				}
 				lastProf = prof
+				acq := lockAcquires(core.LiveLockStats(k))
+				if acq < lastAcq {
+					t.Errorf("lock acquires went backwards: %d -> %d", lastAcq, acq)
+					return
+				}
+				lastAcq = acq
 				if holding && tot > base {
 					overlapped.Add(1)
 					holding = false
@@ -421,6 +430,48 @@ func liveSnapshots(t *testing.T, overlapped *atomic.Int64, statsTotal func(*core
 	}
 }
 
+func lockAcquires(ls [core.NumLockKinds]core.LockStat) uint64 {
+	var n uint64
+	for _, l := range ls {
+		n += l.Acquires
+	}
+	return n
+}
+
+// checkParallelLockMetrics requires the registry's lock.* instruments to
+// report a quiesced ParallelHost run: the derived counters equal
+// LockStats, and every lock kind that was acquired has observed holds.
+func checkParallelLockMetrics(t *testing.T, k *core.Kernel) {
+	t.Helper()
+	snap := k.Metrics.Registry.Snapshot()
+	counters := map[string]uint64{}
+	for _, c := range snap.Counters {
+		counters[c.Name] = c.Value
+	}
+	holds := map[string]uint64{}
+	for _, h := range snap.Histograms {
+		holds[h.Name] = h.Count
+	}
+	ls := k.LockStats()
+	if lockAcquires(ls) == 0 {
+		t.Fatal("no lock acquires recorded")
+	}
+	for _, l := range ls {
+		for name, want := range map[string]uint64{
+			"lock.acquires." + l.Name:    l.Acquires,
+			"lock.contended." + l.Name:   l.Contended,
+			"lock.wait_cycles." + l.Name: l.WaitCycles,
+		} {
+			if got, ok := counters[name]; !ok || got != want {
+				t.Errorf("%s = %d (present %v), LockStats says %d", name, got, ok, want)
+			}
+		}
+		if l.Acquires > 0 && holds["lock.hold_cycles."+l.Name] == 0 {
+			t.Errorf("lock.hold_cycles.%s observed no holds; %d acquires", l.Name, l.Acquires)
+		}
+	}
+}
+
 // TestParallelHostSnapshotsDuringRun reads Stats() and ProfileSnapshot()
 // from a separate goroutine while the per-CPU goroutines step — the live
 // observation pattern. The gate mutex makes each read a consistent
@@ -429,7 +480,8 @@ func liveSnapshots(t *testing.T, overlapped *atomic.Int64, statsTotal func(*core
 // one read lands mid-run (liveSnapshots makes sure of it), snapshot
 // totals never go backwards mid-run, and once the run quiesces the
 // profiler's attributed cycles equal Stats().TotalCycles() exactly —
-// the double-entry invariant holds across concurrent shard merges.
+// the double-entry invariant holds across concurrent shard merges — and
+// the registry reports lock.* in every lock model.
 func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 	for _, lm := range lockModels {
 		lm := lm
@@ -450,16 +502,16 @@ func TestParallelHostSnapshotsDuringRun(t *testing.T) {
 				t.Fatalf("attributed cycles %d != Stats total %d after concurrent snapshots",
 					attributed, want)
 			}
+			checkParallelLockMetrics(t, k)
 		})
 	}
 }
 
-// TestParallelHostFineSnapshotsDuringRun is the sharded-gate version of
-// the snapshot test at the full 64-CPU count: under the fine lock model
-// the ParallelHost gate splits into per-CPU shards plus a shared kernel
-// mutex, and cross-CPU wakes travel through mailboxes. Snapshots must
-// still see consistent, monotone totals, and the double-entry cycle
-// invariant must hold at quiescence. The CI race job runs this under
+// TestParallelHostFineSnapshotsDuringRun is the snapshot test at the full
+// 64-CPU count under the fine lock model: 64 per-CPU gate shards share one
+// kernel mutex, and cross-CPU wakes travel through mailboxes. Snapshots
+// must still see consistent, monotone totals, and the double-entry cycle
+// invariant and the lock.* report must hold at quiescence. The CI race job runs this under
 // -race; with 64 CPU goroutines plus a snapshot goroutine it is the
 // stress test for the shard/kmu/mailbox ordering.
 func TestParallelHostFineSnapshotsDuringRun(t *testing.T) {
@@ -487,6 +539,7 @@ func TestParallelHostFineSnapshotsDuringRun(t *testing.T) {
 		t.Fatalf("attributed cycles %d != Stats total %d after concurrent snapshots",
 			attributed, want)
 	}
+	checkParallelLockMetrics(t, k)
 }
 
 // TestStatsIntoAllocs pins the allocation-free Stats merge: at 64 CPUs a

@@ -9,24 +9,18 @@ import (
 
 // ParallelHost execution (Config.ParallelHost): one host goroutine per
 // simulated CPU, giving real host parallelism for the user-mode batches.
-//
-// Under the big and per-subsystem lock models all kernel sections run
-// under a single gate mutex — the host analogue of a kernel lock — so
-// kernel state needs no finer-grained host locking; the only code outside
-// the gate is cpu.StepN on a space's memory, guarded by that space's
-// StepMu (exec.go stepUser). Threads are pinned to their space's home CPU
-// (no stealing), so one space's threads never step concurrently.
-//
-// The fine lock model (Config.LockModel == LockFine) shards the gate:
+// The host gate below is the same under every lock model: the virtual
+// lock model decides what the simulated kernel pays for contention, not
+// how the host goroutines exclude each other.
 //
 //   - shards[i]   per-CPU gate shard. Owns CPU i's run queue, resched
 //     flag, and mailbox application. Only CPU i's goroutine takes its own
 //     shard; remote CPUs never do.
 //   - kmu         the shared kernel mutex. Every kernel section — object
 //     and IPC state, clock reads/advances, stats and profile charging,
-//     k.cur — runs under kmu. What sharding buys is that the per-CPU hot
-//     loop (mailbox drain, local queue pick) and the user-mode batches
-//     stay off the shared mutex entirely.
+//     virtual-lock counters, k.cur — runs under kmu. What sharding buys is
+//     that the per-CPU hot loop (mailbox drain, local queue pick) and the
+//     user-mode batches stay off the shared mutex entirely.
 //   - qmu[i]      leaf lock on CPU i's mailbox. Cross-CPU operations are
 //     an ordered two-phase protocol: the initiating CPU posts the
 //     operation under qmu[i] (phase one), and the owner applies it from
@@ -38,7 +32,10 @@ import (
 // Lock order: shards[self] → kmu → p.mu → qmu[any]. Each is only ever
 // taken with the earlier ones (or none) held, so the order is total and
 // deadlock-free; qmu and p.mu are leaves with respect to each other
-// (wakeIdlers takes p.mu alone, mail posts take qmu alone).
+// (wakeIdlers takes p.mu alone, mail posts take qmu alone). Outside kmu
+// run only the mailbox drain, under the owner's shard, and cpu.StepN on a
+// space's memory, guarded by that space's StepMu (exec.go stepUser). Threads are pinned to their space's home CPU
+// (no stealing), so one space's threads never step concurrently.
 //
 // Requires the interrupt execution model: each CPU goroutine is exactly
 // the paper's one-kernel-stack-per-processor, and blocking unwinds back to
@@ -53,12 +50,10 @@ type parState struct {
 	idle int
 	done bool
 
-	// Sharded gate (fine lock model only).
-	sharded bool
-	shards  []sync.Mutex
-	kmu     sync.Mutex
-	qmu     []sync.Mutex
-	mail    []cpuMail
+	shards []sync.Mutex
+	kmu    sync.Mutex
+	qmu    []sync.Mutex
+	mail   []cpuMail
 }
 
 // mailOp is one posted cross-CPU operation: a remote wake (enqueue on the
@@ -83,75 +78,40 @@ type cpuMail struct {
 // ParallelHost kernel with more than one CPU — not per run — so
 // observation snapshots (Kernel.Stats, Kernel.ProfileSnapshot) can lock
 // the same mutex the CPU goroutines hold and read live state race-free.
-func newParState(ncpus int, sharded bool) *parState {
-	p := &parState{sharded: sharded}
-	p.cond = sync.NewCond(&p.mu)
-	if sharded {
-		p.shards = make([]sync.Mutex, ncpus)
-		p.qmu = make([]sync.Mutex, ncpus)
-		p.mail = make([]cpuMail, ncpus)
+func newParState(ncpus int) *parState {
+	p := &parState{
+		shards: make([]sync.Mutex, ncpus),
+		qmu:    make([]sync.Mutex, ncpus),
+		mail:   make([]cpuMail, ncpus),
 	}
+	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// shardedPar reports whether this kernel is running the sharded
-// ParallelHost gate (fine lock model on real host goroutines).
-func (k *Kernel) shardedPar() bool { return k.par != nil && k.par.sharded }
-
-// gateLock enters a kernel section on CPU c: takes the kernel gate (kmu
-// under the sharded model, the single gate otherwise) and installs c as
-// the acting CPU. k.cur is only meaningful while the gate is held.
+// gateLock enters a kernel section on CPU c: takes kmu and installs c as
+// the acting CPU. k.cur is only meaningful while kmu is held.
 func (k *Kernel) gateLock(c *CPU) {
-	if k.par.sharded {
-		k.par.kmu.Lock()
-	} else {
-		k.par.mu.Lock()
-	}
+	k.par.kmu.Lock()
 	k.cur = c
 }
 
 // gateUnlock leaves a kernel section. The caller must re-enter with
-// gateLock before touching any kernel state again. Under the sharded
-// model the caller's own gate shard stays held across the unlock (it is
-// owner-only; releasing it would buy nothing and cost a reacquire).
-func (k *Kernel) gateUnlock() {
-	if k.par.sharded {
-		k.par.kmu.Unlock()
-	} else {
-		k.par.mu.Unlock()
-	}
-}
+// gateLock before touching any kernel state again. The caller's own gate
+// shard stays held across the unlock (it is owner-only; releasing it
+// would buy nothing and cost a reacquire).
+func (k *Kernel) gateUnlock() { k.par.kmu.Unlock() }
 
-// snapLock takes the lock an observation snapshot (Stats, ProfileSnapshot)
-// needs to read live kernel state race-free; snapUnlock releases it. All
-// snapshot-visible state — per-CPU stats shards, profile shards, clocks —
-// is written under kmu in sharded mode, so kmu alone gives a consistent
-// cut without stalling the per-CPU shards.
-func (k *Kernel) snapLock() {
-	if k.par.sharded {
-		k.par.kmu.Lock()
-	} else {
-		k.par.mu.Lock()
-	}
-}
+// snapLock takes the lock an observation snapshot (Stats, ProfileSnapshot,
+// LockStats) needs to read live kernel state race-free; snapUnlock
+// releases it. All snapshot-visible state — per-CPU stats shards, profile
+// shards, clocks, virtual-lock counters — is written under kmu, so kmu
+// alone gives a consistent cut without stalling the per-CPU shards.
+func (k *Kernel) snapLock()   { k.par.kmu.Lock() }
+func (k *Kernel) snapUnlock() { k.par.kmu.Unlock() }
 
-func (k *Kernel) snapUnlock() {
-	if k.par.sharded {
-		k.par.kmu.Unlock()
-	} else {
-		k.par.mu.Unlock()
-	}
-}
-
-// wakeIdlers pokes every CPU parked on the idle cond. Classic gate:
-// caller already holds p.mu (the gate), so a bare broadcast suffices.
-// Sharded gate: callers hold kmu (or less), so take p.mu for the
-// broadcast (kmu → p.mu is in-order).
+// wakeIdlers pokes every CPU parked on the idle cond. Callers hold kmu
+// (or less), so take p.mu for the broadcast (kmu → p.mu is in-order).
 func (p *parState) wakeIdlers() {
-	if !p.sharded {
-		p.cond.Broadcast()
-		return
-	}
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -171,29 +131,18 @@ func (p *parState) setDone() {
 	p.mu.Unlock()
 }
 
-// mailPostWake posts a remote enqueue of t to its home CPU's mailbox
-// (phase one of the two-phase cross-CPU wake). The broadcast covers the
-// case where the owner is already parked idle: a parked CPU always has an
+// mailPost posts op to its thread's home CPU's mailbox (phase one of the
+// two-phase cross-CPU protocol). Until the owner drains a drop, the entry
+// sits stale in the queue and Pick's runnable check skips it, exactly
+// like a thread that blocked while queued. The broadcast covers the case
+// where the owner is already parked idle: a parked CPU always has an
 // empty mailbox (it re-checks before waiting), so the post + broadcast
 // pair cannot be missed.
-func (k *Kernel) mailPostWake(c *CPU, t *obj.Thread) {
+func (k *Kernel) mailPost(op mailOp) {
 	p := k.par
-	home := t.HomeCPU
+	home := op.t.HomeCPU
 	p.qmu[home].Lock()
-	p.mail[home].ops = append(p.mail[home].ops, mailOp{t: t})
-	p.qmu[home].Unlock()
-	p.wakeIdlers()
-}
-
-// mailPostDrop posts a remote queue removal of t to its home CPU's
-// mailbox. Until the owner drains it the entry sits stale in the queue;
-// Pick's runnable check skips it, exactly like a thread that blocked
-// while queued under the classic gate.
-func (k *Kernel) mailPostDrop(c *CPU, t *obj.Thread) {
-	p := k.par
-	home := t.HomeCPU
-	p.qmu[home].Lock()
-	p.mail[home].ops = append(p.mail[home].ops, mailOp{t: t, drop: true})
+	p.mail[home].ops = append(p.mail[home].ops, op)
 	p.qmu[home].Unlock()
 	p.wakeIdlers()
 }
@@ -201,7 +150,7 @@ func (k *Kernel) mailPostDrop(c *CPU, t *obj.Thread) {
 // mailPostKick posts the IPI analogue: the owner sets its own resched
 // flag when it drains. The kicker's clock is stamped here (under kmu) so
 // the preempt-latency histogram still measures wake-to-dispatch across
-// CPUs, as in the classic path.
+// CPUs, as in the deterministic path.
 func (k *Kernel) mailPostKick(target *CPU) {
 	p := k.par
 	p.qmu[target.id].Lock()
@@ -238,67 +187,19 @@ func (k *Kernel) runParallel(stop func() bool) {
 		wg.Add(1)
 		go func(c *CPU) {
 			defer wg.Done()
-			if p.sharded {
-				k.cpuLoopSharded(c, stop)
-			} else {
-				k.cpuLoop(c, stop)
-			}
+			k.cpuLoop(c, stop)
 		}(c)
 	}
 	wg.Wait()
 	k.cur = k.cpus[0]
 }
 
-// cpuLoop is one CPU's scheduler loop under the classic single gate.
-// Invariant: the gate is held at the top of every iteration (and across
-// everything except user-mode batches).
+// cpuLoop is one CPU's scheduler loop. Each iteration: take the own
+// shard, apply the mailbox, then enter a kernel section (kmu) only for the
+// decision and dispatch. A kicked resched flag posted mid-batch is
+// observed at the next loop top — preemption latency in this mode is
+// bounded by one user batch.
 func (k *Kernel) cpuLoop(c *CPU, stop func() bool) {
-	p := k.par
-	k.gateLock(c)
-	defer k.gateUnlock()
-	for {
-		if p.done {
-			return
-		}
-		if stop() {
-			p.done = true
-			p.cond.Broadcast()
-			return
-		}
-		if t := k.schedPick(c); t != nil {
-			k.dispatch(c, t, false)
-			continue
-		}
-		// Nothing runnable here: service the local timer queue, else wait
-		// for a wake (kickCPU broadcasts) or system quiescence.
-		if d, ok := c.clk.NextDeadline(); ok {
-			if now := c.clk.Now(); d > now {
-				c.stats.IdleCycles += d - now
-				k.profCharge(c, nil, profile.PathIdle, d-now)
-			}
-			c.clk.AdvanceTo(d)
-			continue
-		}
-		p.idle++
-		if p.idle == len(k.cpus) && k.quiescent() {
-			p.idle--
-			p.done = true
-			p.cond.Broadcast()
-			return
-		}
-		p.cond.Wait()
-		k.cur = c // another CPU held the gate while we slept
-		p.idle--
-	}
-}
-
-// cpuLoopSharded is one CPU's scheduler loop under the sharded gate. Each
-// iteration: take the own shard, apply the mailbox, then enter a kernel
-// section (kmu) only for the decision and dispatch. A kicked resched flag
-// posted mid-batch is observed at the next loop top — preemption latency
-// in this mode is bounded by one user batch, the same wall-clock
-// granularity the classic gate already had.
-func (k *Kernel) cpuLoopSharded(c *CPU, stop func() bool) {
 	p := k.par
 	for {
 		p.shards[c.id].Lock()
@@ -348,7 +249,7 @@ func (k *Kernel) cpuLoopSharded(c *CPU, stop func() bool) {
 				break
 			}
 			p.idle++
-			if p.idle == len(k.cpus) && k.quiescentSharded() {
+			if p.idle == len(k.cpus) && k.quiescent() {
 				p.idle--
 				p.done = true
 				p.cond.Broadcast()
@@ -362,25 +263,14 @@ func (k *Kernel) cpuLoopSharded(c *CPU, stop func() bool) {
 	}
 }
 
-// quiescent reports whether no CPU has runnable or timed work left.
-// Called under the classic gate.
-func (k *Kernel) quiescent() bool {
-	for _, c := range k.cpus {
-		if c.current != nil || k.runnableQueuedOn(c) || c.clk.Pending() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// quiescentSharded is the sharded-gate quiescence check, run by the last
-// CPU to go idle while holding p.mu. With p.idle == NumCPUs every other
+// quiescent reports whether no CPU has runnable, timed, or posted work
+// left. It is run by the last CPU to go idle while holding p.mu. With p.idle == NumCPUs every other
 // CPU has released its shard and kmu and parked (or is re-acquiring p.mu
 // inside Wait), and each one's state writes happened-before its idle++
 // under p.mu — so reading queues, clocks, and current here is race-free
 // without taking the shards. A pending mailbox defeats quiescence: its
 // owner was broadcast-woken by the post and will drain it.
-func (k *Kernel) quiescentSharded() bool {
+func (k *Kernel) quiescent() bool {
 	for _, c := range k.cpus {
 		if c.current != nil || k.runnableQueuedOn(c) || c.clk.Pending() > 0 || k.mailPending(c.id) {
 			return false

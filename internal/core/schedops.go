@@ -15,13 +15,12 @@ import (
 
 // schedEnqueue appends t to the tail of its home CPU's run queue, taking
 // that queue's lock (under the fine model a remote enqueue locks the
-// *target* queue instance, not the enqueuer's own). Under the sharded
-// ParallelHost gate a remote queue is owner-only state, so the enqueue is
-// posted to the target CPU's mailbox instead (ordered two-phase: see
-// parallel.go).
+// *target* queue instance, not the enqueuer's own). In ParallelHost mode a
+// remote queue is owner-only state, so the enqueue is posted to the target
+// CPU's mailbox instead (ordered two-phase: see parallel.go).
 func (k *Kernel) schedEnqueue(c *CPU, t *obj.Thread) {
-	if k.shardedPar() && t.HomeCPU != c.id {
-		k.mailPostWake(c, t)
+	if k.par != nil && t.HomeCPU != c.id {
+		k.mailPost(mailOp{t: t})
 		return
 	}
 	slot := k.runqSlot(t.HomeCPU)
@@ -57,13 +56,13 @@ func (k *Kernel) schedTopPriority(c *CPU) (int, bool) {
 // schedRemove unlinks t from whichever CPU's queue holds it. The fine
 // model locks one queue instance at a time while probing (home first —
 // the overwhelmingly common case — then the rest), never holding two at
-// once. Under the sharded gate a remote removal is posted to the owning
+// once. In ParallelHost mode a remote removal is posted to the owning
 // CPU's mailbox; until the owner drains it, the entry sits stale in the
 // queue and Pick's runnable check skips it.
 func (k *Kernel) schedRemove(c *CPU, t *obj.Thread) {
-	if k.shardedPar() {
+	if k.par != nil {
 		if t.HomeCPU != c.id {
-			k.mailPostDrop(c, t)
+			k.mailPost(mailOp{t: t, drop: true})
 			return
 		}
 		// Own queue only: ParallelHost pins threads to their home CPU, so
@@ -178,7 +177,7 @@ func (k *Kernel) schedSteal(c *CPU) *obj.Thread {
 }
 
 // drainMail applies the cross-CPU operations posted to c's mailbox, in
-// post order (phase two of the sharded gate's two-phase protocol). Runs
+// post order (phase two of the ParallelHost gate's two-phase protocol). Runs
 // at the top of each owner loop iteration holding c's gate shard — the
 // lock that owns c's queue — but not kmu. A pending kick sets the
 // owner's own resched flag, stamping the kicker's clock so the
@@ -333,22 +332,17 @@ func (k *Kernel) observePreemptLatency(c *CPU) {
 // uses the kicker's clock — the latency histogram then measures
 // wake-to-dispatch across CPUs.
 func (k *Kernel) kickCPU(c *CPU, target *CPU) {
-	// Sharded gate: a remote CPU's flag is owner-only state; post the
+	c.stats.IPIs++
+	k.emit(trace.IPI, uint32(target.id), 0)
+	// ParallelHost: a remote CPU's flag is owner-only state; post the
 	// kick to its mailbox instead (the owner sets its own flag on drain).
-	if k.shardedPar() && target != c {
-		c.stats.IPIs++
-		k.emit(trace.IPI, uint32(target.id), 0)
+	if k.par != nil && target != c {
 		k.mailPostKick(target)
 		return
 	}
 	target.needResched = true
 	if k.Metrics != nil && target.reschedSince == 0 {
 		target.reschedSince = c.clk.Now()
-	}
-	c.stats.IPIs++
-	k.emit(trace.IPI, uint32(target.id), 0)
-	if k.par != nil {
-		k.par.wakeIdlers()
 	}
 }
 

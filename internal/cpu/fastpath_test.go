@@ -170,16 +170,21 @@ func genProgram(m *fakeMem, rng *rand.Rand) {
 	}
 }
 
-// TestStepNEquivalenceFuzz: StepN must be observably identical to the
+// FuzzStepNEquivalence: StepN must be observably identical to the
 // per-instruction Step loop — same registers, memory, cycles, retirements
-// and trap — over random programs and budgets. The generated programs
-// include self-modifying stores into the executing code pages (4% of
-// instructions), so fused-block invalidation mid-block is fuzzed here,
-// not just unit-tested; between batches, random DMA-style writes mutate
-// code bytes directly and bump the store generation, the same signal
-// device DMA and frame recycling raise.
-func TestStepNEquivalenceFuzz(t *testing.T) {
+// and trap — over random programs and budgets. The input seeds the
+// program generator. The generated programs include self-modifying
+// stores into the executing code pages (4% of instructions), so
+// fused-block invalidation mid-block is fuzzed here, not just
+// unit-tested; between batches, random DMA-style writes mutate code
+// bytes directly and bump the store generation, the same signal device
+// DMA and frame recycling raise. Seeds 0–199 are the corpus plain
+// go test runs.
+func FuzzStepNEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 200; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		proto := newFakeMem(3)
 		genProgram(proto, rng)
@@ -220,7 +225,7 @@ func TestStepNEquivalenceFuzz(t *testing.T) {
 				t.Fatalf("seed %d round %d: memory diverges", seed, round)
 			}
 			if ft.Kind == TrapHalt || ft.Kind == TrapIllegal || ft.Kind == TrapFault {
-				break // terminal for this PC; next seed
+				break // terminal for this PC
 			}
 			if ft.Kind == TrapSyscall {
 				// Pretend the kernel completed the call: resume past it.
@@ -230,7 +235,7 @@ func TestStepNEquivalenceFuzz(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestStepNSelfModifyingCode: a store that overwrites an already-executed

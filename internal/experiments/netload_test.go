@@ -142,23 +142,28 @@ func TestNICCoalesceEquivalence(t *testing.T) {
 }
 
 // TestNetloadParallelHost runs the tuned cell under real host
-// parallelism — the -race CI step's target. Timing-derived numbers are
-// not deterministic there; the invariants that must survive are
-// completion, payload integrity, and the accounting identities.
+// parallelism in every lock model — the -race CI step's target.
+// Timing-derived numbers are not deterministic there; the invariants that
+// must survive are completion, payload integrity, and the accounting
+// identities.
 func TestNetloadParallelHost(t *testing.T) {
 	sc := NetloadScale{Queues: 2, Workers: 2, Clients: 4, RPCs: 4, RespWords: 2048}
-	cell, err := runNetloadCell(NetloadTuned, 4, core.LockFine, netloadBaseConfig(), sc, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Res.Errors != 0 {
-		t.Errorf("%d payload stamp errors", cell.Res.Errors)
-	}
-	if cell.Lat.Count() != sc.Conns() {
-		t.Errorf("%d latency samples, want %d", cell.Lat.Count(), sc.Conns())
-	}
-	if got := cell.Res.NIC.RxFrames; got != uint64(sc.Conns()) {
-		t.Errorf("%d RX frames, want %d", got, sc.Conns())
+	for _, lm := range NetloadLockModels {
+		t.Run("lockmodel="+lm.String(), func(t *testing.T) {
+			cell, err := runNetloadCell(NetloadTuned, 4, lm, netloadBaseConfig(), sc, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cell.Res.Errors != 0 {
+				t.Errorf("%d payload stamp errors", cell.Res.Errors)
+			}
+			if cell.Lat.Count() != sc.Conns() {
+				t.Errorf("%d latency samples, want %d", cell.Lat.Count(), sc.Conns())
+			}
+			if got := cell.Res.NIC.RxFrames; got != uint64(sc.Conns()) {
+				t.Errorf("%d RX frames, want %d", got, sc.Conns())
+			}
+		})
 	}
 }
 

@@ -137,6 +137,15 @@ func (c Config) fill() (Config, error) {
 	if c.Workers < 0 || c.Workers > MaxWorkers {
 		return c, fmt.Errorf("netsrv: %d workers (max %d)", c.Workers, MaxWorkers)
 	}
+	if c.BufPages < 0 {
+		return c, fmt.Errorf("netsrv: %d buffer pages", c.BufPages)
+	}
+	// The RX buffers must end below the kernel-handle window; Attach sizes
+	// the DMA mapping in 32 bits, so a larger window would wrap.
+	if maxPages := (uint64(core.KObjBase) - nsDMA - dmaRxBuf) / mem.PageSize; uint64(c.BufPages) > maxPages/uint64(c.Workers) {
+		return c, fmt.Errorf("netsrv: %d workers x %d buffer pages run past the DMA window (max %d pages in all)",
+			c.Workers, c.BufPages, maxPages)
+	}
 	if c.RingSlots&(c.RingSlots-1) != 0 {
 		return c, fmt.Errorf("netsrv: ring slots %d not a power of two", c.RingSlots)
 	}
